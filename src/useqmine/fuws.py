@@ -5,6 +5,12 @@ occurrences in its sequence, grow candidate patterns depth-first while an
 upper bound on weighted expected support clears the threshold, then verify
 every candidate with one scan of the original database and drop the rest.
 
+Both hot steps read sequences by item (``model.item_index``): each
+preprocessed sequence keeps, per item, the ascending positions of the events
+holding it, so ``project`` re-anchors an entry with one bisect and skips a
+sequence lacking the item with one dict miss; ``sup_calc`` visits only the
+trie children whose item the sequence holds.
+
 The bound for extending a prefix with item b is::
 
     est_sup = maxpr(prefix) * sum over projected sequences of b's best
@@ -22,6 +28,7 @@ classic bound (``exp_support_top``) is kept for benchmark comparison.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .model import (
@@ -33,6 +40,7 @@ from .model import (
     UncertainDatabase,
     WeightTable,
     extend,
+    item_index,
     meets,
     single,
 )
@@ -45,15 +53,14 @@ Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
 class PEvent:
     items: tuple[ItemId, ...]
     probs: tuple[float, ...]
-    index: dict[ItemId, int] = field(compare=False, repr=False, default_factory=dict)
-
-    def pos_of(self, item: ItemId) -> int | None:
-        return self.index.get(item)
 
 
 @dataclass(frozen=True)
 class PSequence:
     events: tuple[PEvent, ...]
+    # Item -> ascending positions of the events that hold it, read off
+    # ``item_index``; ``project`` bisects these.
+    positions: dict[ItemId, tuple[int, ...]] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,10 @@ def preprocess(db: UncertainDatabase, weights: WeightTable) -> tuple[Preprocesse
                     b = pi.prob
                 best[pi.item] = b
                 probs.append(b)
-            rewritten.append(
-                PEvent(items, tuple(probs), {it: i for i, it in enumerate(items)})
-            )
+            rewritten.append(PEvent(items, tuple(probs)))
         rewritten.reverse()
-        sequences.append(PSequence(tuple(rewritten)))
+        positions = {it: tuple([k for k, _ in occ]) for it, occ in item_index(seq).items()}
+        sequences.append(PSequence(tuple(rewritten), positions))
         for ev in seq.events:
             for pi in ev.items:
                 wsum += weights.weight(pi.item)
@@ -207,24 +213,31 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     After the suffix-max rewrite the first occurrence carries the largest
     remaining probability, and its suffix contains every later anchor, so
     nothing reachable is lost. Entries with an empty remaining suffix drop.
+
+    The occurrence is found by bisecting the item's event positions in the
+    sequence's index: an I-extension first takes the item inside the open
+    event (at or after the anchor), otherwise the first event after it.
+    Sequences that lack the item cost one dict miss.
     """
     out: list[Entry] = []
+    sequences = pdb.sequences
     for si, ei, ii in proj.entries:
-        events = pdb.sequences[si].events
-        pos: tuple[int, int] | None = None
-        if kind == "I" and ei >= 0:
-            idx = events[ei].pos_of(item)
-            if idx is not None and idx >= ii:
-                pos = (ei, idx)
-        if pos is None:
-            for k in range(ei + 1, len(events)):
-                idx = events[k].pos_of(item)
-                if idx is not None:
-                    pos = (k, idx)
-                    break
-        if pos is None:
+        seq = sequences[si]
+        ks = seq.positions.get(item)
+        if ks is None:
             continue
-        k, idx = pos
+        events = seq.events
+        j = bisect_right(ks, ei)
+        k = -1
+        if kind == "I" and j and ks[j - 1] == ei:
+            idx = events[ei].items.index(item)
+            if idx >= ii:
+                k = ei
+        if k < 0:
+            if j == len(ks):
+                continue
+            k = ks[j]
+            idx = events[k].items.index(item)
         if idx + 1 >= len(events[k].items) and k == len(events) - 1:
             continue  # nothing left to extend into
         out.append((si, k, idx + 1))

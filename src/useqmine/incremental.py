@@ -17,6 +17,8 @@ never overshoot the truth.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 from .fuws import mine_trie
@@ -89,8 +91,19 @@ def init_mining(
     )
 
 
+def _check_weights(delta: UncertainDatabase, weights: WeightTable) -> None:
+    """Raise ``MissingWeightError`` for the first item of ``delta`` without a weight.
+
+    Steps call this before touching any state, so a rejected increment leaves
+    the state as it was.
+    """
+    for item in delta.alphabet():
+        weights.weight(item)
+
+
 def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment into the tracked set; returns the frequent patterns."""
+    _check_weights(delta, state.weights)
     sup_calc(state.seq_trie, delta, state.weights)
     state.db_size += delta.size
     update_wam(state.wam_acc, delta, state.weights)
@@ -109,6 +122,7 @@ def local_threshold(state: IncrementalState, delta: UncertainDatabase) -> float:
 
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment, keeping the promising buffer; returns the frequent set."""
+    _check_weights(delta, state.weights)
     p = state.params
     lwes = local_threshold(state, delta)
     lfs_trie, _ = mine_trie(
@@ -156,16 +170,30 @@ CHECKPOINT_PFS = "[pfs-trie]"
 
 
 def save_state(state: IncrementalState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        p = state.params
-        fh.write(
-            f"{state.db_size} {state.wam_acc.weighted_freq_sum!r} {state.wam_acc.freq_sum} "
-            f"{p.min_sup!r} {p.wgt_fct!r} {p.mu!r} {p.lwes_factor!r}\n"
-        )
-        fh.write(CHECKPOINT_SEQ + "\n")
-        fh.write(state.seq_trie.snapshot())
-        fh.write(CHECKPOINT_PFS + "\n")
-        fh.write(state.pfs_trie.snapshot())
+    """Write a checkpoint; the previous file at ``path`` survives a failed save.
+
+    The text goes to ``path + ".tmp"`` in the same directory, is synced, and
+    is then renamed over ``path`` in one step.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            p = state.params
+            fh.write(
+                f"{state.db_size} {state.wam_acc.weighted_freq_sum!r} {state.wam_acc.freq_sum} "
+                f"{p.min_sup!r} {p.wgt_fct!r} {p.mu!r} {p.lwes_factor!r}\n"
+            )
+            fh.write(CHECKPOINT_SEQ + "\n")
+            fh.write(state.seq_trie.snapshot())
+            fh.write(CHECKPOINT_PFS + "\n")
+            fh.write(state.pfs_trie.snapshot())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_state(path: str, weights: WeightTable) -> IncrementalState:

@@ -93,6 +93,24 @@ class USequence:
         return sum(len(e.items) for e in self.events)
 
 
+def item_index(seq: USequence) -> dict[ItemId, list[tuple[int, float]]]:
+    """The sequence encoded by item: each item -> its ``(event position, prob)``
+    occurrences in ascending event order.
+
+    This is the one encoding the miner's projection index and the support scan
+    read sequences through; an item the sequence lacks is simply not a key.
+    """
+    index: dict[ItemId, list[tuple[int, float]]] = {}
+    for k, ev in enumerate(seq.events):
+        for pi in ev.items:
+            occ = index.get(pi.item)
+            if occ is None:
+                index[pi.item] = [(k, pi.prob)]
+            else:
+                occ.append((k, pi.prob))
+    return index
+
+
 @dataclass(frozen=True)
 class UncertainDatabase:
     sequences: tuple[USequence, ...]

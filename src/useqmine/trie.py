@@ -20,6 +20,7 @@ from .model import (
     ScoredPattern,
     UncertainDatabase,
     WeightTable,
+    item_index,
     meets,
 )
 
@@ -225,12 +226,17 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     the same event (nonzero only where the whole open itemset fits). The
     node's contribution for the sequence is the array maximum times the
     running mean item weight carried down the walk.
+
+    The sequence is read through ``item_index``: a child whose item the
+    sequence lacks is skipped with one dict miss, together with its whole
+    subtree, and a matched child touches only the positions where its item
+    occurs. Visit order cannot change any node's sum, so children are visited
+    unsorted.
     """
     for seq in db_part.sequences:
-        events = [ev.prob_map() for ev in seq.events]
-        n = len(events)
         # Virtual empty prefix: embeddable before any event.
-        _scan(trie.root, [1.0] * n, [1.0] * n, 0.0, 0, events, weights)
+        ones = [1.0] * len(seq.events)
+        _scan(trie.root, ones, ones, 0.0, 0, item_index(seq), weights)
 
 
 def _scan(
@@ -239,40 +245,37 @@ def _scan(
     before_max: list[float],
     wgt_sum: float,
     itm_cnt: int,
-    events: list[dict[ItemId, float]],
+    index: dict[ItemId, list[tuple[int, float]]],
     weights: WeightTable,
 ) -> None:
-    n = len(events)
-    for child in node.sorted_children():
-        w = weights.weight(child.item)
-        cur = [0.0] * n
+    for (kind, item), child in node.children.items():
+        occ = index.get(item)
+        if occ is None:
+            continue
+        src = before_max if kind == "S" else ar
+        grow = bool(child.children)
+        cur: list[float] | None = None
         best = 0.0
-        if child.kind == "S":
-            for k in range(n):
-                p = events[k].get(child.item)
-                if p is not None and before_max[k] > 0.0:
-                    v = p * before_max[k]
+        for k, p in occ:
+            b = src[k]
+            if b > 0.0:
+                v = p * b
+                if v > best:
+                    best = v
+                if grow:
+                    if cur is None:
+                        cur = [0.0] * len(src)
                     cur[k] = v
-                    if v > best:
-                        best = v
-        else:
-            for k in range(n):
-                p = events[k].get(child.item)
-                if p is not None and ar[k] > 0.0:
-                    v = p * ar[k]
-                    cur[k] = v
-                    if v > best:
-                        best = v
-        cw = wgt_sum + w
-        cc = itm_cnt + 1
         if best > 0.0:
+            cw = wgt_sum + weights.weight(item)
+            cc = itm_cnt + 1
             if child.is_pattern:
                 child.wes += best * (cw / cc)
-            if child.children:
-                cbm = [0.0] * n
+            if cur is not None:
+                cbm = [0.0] * len(cur)
                 run = 0.0
-                for k in range(n):
+                for k in range(len(cur)):
                     cbm[k] = run
                     if cur[k] > run:
                         run = cur[k]
-                _scan(child, cur, cbm, cw, cc, events, weights)
+                _scan(child, cur, cbm, cw, cc, index, weights)

@@ -5,6 +5,7 @@ import pytest
 from useqmine import (
     MiningError,
     MiningParams,
+    MissingWeightError,
     UncertainDatabase,
     WamAccumulator,
     fuws,
@@ -14,12 +15,14 @@ from useqmine import (
     meets,
     oracle_wes,
     save_state,
+    USeqTrie,
+    WeightTable,
     update_wam,
     uwsinc_step,
     uwsincplus_step,
 )
 
-from conftest import P, patterns_by_key, random_db, random_weights
+from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
 PARAMS = MiningParams(min_sup=0.2, wgt_fct=1.0, mu=0.7, lwes_factor=2.0)
 
@@ -258,6 +261,28 @@ class TestProperties:
                 assert fs_a <= fs_b
 
 
+def state_fingerprint(state):
+    return (
+        state.db_size,
+        state.wam_acc.weighted_freq_sum,
+        state.wam_acc.freq_sum,
+        state.seq_trie.snapshot(),
+        state.pfs_trie.snapshot(),
+    )
+
+
+@pytest.mark.parametrize("step", [uwsinc_step, uwsincplus_step])
+def test_delta_with_unweighted_item_leaves_state_unchanged(step, tmp_path):
+    init = db_from_text(tmp_path, "a:0.9 -1 b:0.8 -1 -2\n" * 4, "init.txt")
+    delta = db_from_text(tmp_path, "a:0.9 -1 z:0.5 -1 -2\n", "delta.txt")
+    state = init_mining(init, WeightTable({"a": 0.5, "b": 0.8}), PARAMS)
+    assert P("(a)") in state.seq_trie
+    before = state_fingerprint(state)
+    with pytest.raises(MissingWeightError, match="'z'"):
+        step(state, delta)
+    assert state_fingerprint(state) == before
+
+
 class TestCheckpoint:
     def test_round_trip(self, sample_db, sample_weights, delta1, delta2, tmp_path):
         state = init_mining(sample_db, sample_weights, PARAMS)
@@ -273,6 +298,32 @@ class TestCheckpoint:
         fs_a = patterns_by_key(uwsincplus_step(state, delta2))
         fs_b = patterns_by_key(uwsincplus_step(loaded, delta2))
         assert fs_a == pytest.approx(fs_b)
+
+    def test_failed_save_keeps_previous_checkpoint(
+        self, sample_db, sample_weights, delta1, tmp_path, monkeypatch
+    ):
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        path = str(ck_dir / "ck.txt")
+        save_state(state, path)
+        saved = state_fingerprint(load_state(path, sample_weights))
+        uwsincplus_step(state, delta1)
+        snapshot = USeqTrie.snapshot
+        calls = []
+
+        def failing_snapshot(trie):
+            calls.append(trie)
+            if len(calls) == 2:  # after the header and the first trie went out
+                raise OSError("disk full")
+            return snapshot(trie)
+
+        monkeypatch.setattr(USeqTrie, "snapshot", failing_snapshot)
+        with pytest.raises(OSError, match="disk full"):
+            save_state(state, path)
+        monkeypatch.undo()
+        assert state_fingerprint(load_state(path, sample_weights)) == saved
+        assert [p.name for p in ck_dir.iterdir()] == ["ck.txt"]
 
     def test_bad_files_rejected(self, sample_weights, tmp_path):
         path = tmp_path / "bad.txt"
