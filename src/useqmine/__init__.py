@@ -14,6 +14,7 @@ from .model import (
     Thresholds,
     UncertainDatabase,
     USequence,
+    WamAccumulator,
     WeightTable,
     extend,
     meets,
@@ -38,12 +39,10 @@ from .fuws import (
 )
 from .incremental import (
     IncrementalState,
-    WamAccumulator,
     init_mining,
     load_state,
     local_threshold,
     save_state,
-    update_wam,
     uwsinc_step,
     uwsincplus_step,
 )

@@ -15,8 +15,15 @@ import sys
 import time
 
 from . import dataio, incremental
-from .fuws import fuws, mine_trie
-from .model import MiningError, MiningParams, ScoredPattern, UncertainDatabase
+from .fuws import mine_trie
+from .model import (
+    MiningError,
+    MiningParams,
+    ScoredPattern,
+    Thresholds,
+    UncertainDatabase,
+    WamAccumulator,
+)
 from .oracle import OracleSizeError, oracle_mine
 
 REPORT_FIELDS = [
@@ -67,12 +74,6 @@ def _db_stats(db: UncertainDatabase) -> tuple[int, int, float]:
     total_items = sum(seq.length for seq in db.sequences)
     avg = total_items / db.size if db.size else 0.0
     return db.size, len(db.alphabet()), avg
-
-
-def _wam(db: UncertainDatabase, weights) -> float:
-    freq = db.item_frequencies()
-    total = sum(freq.values())
-    return sum(n * weights.weight(it) for it, n in freq.items()) / total if total else 0.0
 
 
 def _write_report(path: str, row: dict) -> None:
@@ -134,16 +135,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise UsageError(f"--wgt-fct must be positive: {args.wgt_fct}")
     db = dataio.parse_uncertain_db(args.db)
     weights = dataio.parse_weights(args.weights)
-    min_wes = args.min_sup * args.mu * db.size * _wam(db, weights) * args.wgt_fct
-    patterns = oracle_mine(db, weights, min_wes)
+    acc = WamAccumulator()
+    acc.add(db, weights)
+    th = Thresholds.compute(args.min_sup * args.mu, db.size, acc.wam, args.wgt_fct, 1.0)
+    patterns = oracle_mine(db, weights, th.min_wes)
     _emit_patterns(patterns, args.out, args.format)
     return 0
-
-
-def _baseline_step(
-    parts: list[UncertainDatabase], weights, min_sup: float, wgt_fct: float
-) -> list[ScoredPattern]:
-    return fuws(UncertainDatabase.concat(parts), weights, min_sup, wgt_fct)
 
 
 def _read_baseline_sets(baseline_dir: str, step: int) -> set | None:
@@ -201,21 +198,15 @@ def cmd_inc(args: argparse.Namespace) -> int:
         )
 
     if args.algo == "baseline":
-        parts = [dataio.parse_uncertain_db(args.init)]
-        t0 = time.perf_counter()
-        fs = _baseline_step(parts, weights, args.min_sup, args.wgt_fct)
-        whole = UncertainDatabase.concat(parts)
-        wam = _wam(whole, weights)
-        record(0, args.init, whole.size, whole.size, wam,
-               args.min_sup * whole.size * wam * args.wgt_fct, fs, (time.perf_counter() - t0) * 1e3)
-        for k, (path, delta) in enumerate(zip(args.delta, deltas), start=1):
-            parts.append(delta)
+        parts: list[UncertainDatabase] = []
+        inputs = zip([args.init, *args.delta], [dataio.parse_uncertain_db(args.init), *deltas])
+        for k, (path, part) in enumerate(inputs):
+            parts.append(part)
             t0 = time.perf_counter()
-            fs = _baseline_step(parts, weights, args.min_sup, args.wgt_fct)
             whole = UncertainDatabase.concat(parts)
-            wam = _wam(whole, weights)
-            record(k, path, delta.size, whole.size, wam,
-                   args.min_sup * whole.size * wam * args.wgt_fct, fs,
+            trie, stats = mine_trie(whole, weights, args.min_sup, args.wgt_fct)
+            fs = trie.collect(stats.min_wes)
+            record(k, path, part.size, whole.size, stats.wam, stats.min_wes, fs,
                    (time.perf_counter() - t0) * 1e3)
     else:
         if resume:
@@ -318,14 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("USEQMINE_THREADS", "1")),
-            help="cap on internal parallelism (current engine is single-threaded)",
-        )
-
     p_mine = sub.add_parser("mine", help="mine a static database")
     p_mine.add_argument("--db", required=True)
     p_mine.add_argument("--weights", required=True)
@@ -335,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--out")
     p_mine.add_argument("--format", choices=["tsv", "json-lines"], default="tsv")
     p_mine.add_argument("--report")
-    add_threads(p_mine)
     p_mine.set_defaults(fn=cmd_mine)
 
     p_inc = sub.add_parser("inc", help="incremental mining over an initial db plus deltas")
@@ -350,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--out-dir", default=".")
     p_inc.add_argument("--checkpoint")
     p_inc.add_argument("--baseline-dir", help="out-dir of a prior baseline run; fills completeness")
-    add_threads(p_inc)
     p_inc.set_defaults(fn=cmd_inc)
 
     p_gen = sub.add_parser("gen", help="make an uncertain weighted dataset from a precise one")
@@ -383,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--bound", choices=["cap", "top", "both"], default="both")
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--out", required=True)
-    add_threads(p_bench)
     p_bench.set_defaults(fn=cmd_bench)
 
     return parser
@@ -395,9 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -5,11 +5,13 @@ occurrences in its sequence, grow candidate patterns depth-first while an
 upper bound on weighted expected support clears the threshold, then verify
 every candidate with one scan of the original database and drop the rest.
 
-Both hot steps read sequences by item (``model.item_index``): each
-preprocessed sequence keeps, per item, the ascending positions of the events
-holding it, so ``project`` re-anchors an entry with one bisect and skips a
-sequence lacking the item with one dict miss; ``sup_calc`` visits only the
-trie children whose item the sequence holds.
+A preprocessed sequence is only its item index, read off
+``model.item_index``: each item maps to the ascending positions of the events
+holding it and its suffix-max probability at each. Growth is a
+pseudo-projection over that index (as in PrefixSpan): a projection entry is a
+(sequence, event) anchor, ``determine`` reads each item's best remaining
+probability with one bisect, and ``project`` re-anchors with one bisect and
+skips a sequence lacking the item with one dict miss.
 
 The bound for extending a prefix with item b is::
 
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import (
     ExtKind,
@@ -37,7 +41,10 @@ from .model import (
     MiningError,
     Pattern,
     ScoredPattern,
+    Thresholds,
     UncertainDatabase,
+    USequence,
+    WamAccumulator,
     WeightTable,
     extend,
     item_index,
@@ -50,30 +57,28 @@ Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
 
 
 @dataclass(frozen=True)
-class PEvent:
-    items: tuple[ItemId, ...]
-    probs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class PSequence:
-    events: tuple[PEvent, ...]
-    # Item -> ascending positions of the events that hold it, read off
-    # ``item_index``; ``project`` bisects these.
-    positions: dict[ItemId, tuple[int, ...]] = field(compare=False, repr=False)
+    # Item -> (ascending positions of the events holding it, the item's
+    # suffix-max probability at each position).
+    index: dict[ItemId, tuple[tuple[int, ...], tuple[float, ...]]]
+    # The final event's position and largest item: an anchor on that item
+    # there has nothing left to extend into.
+    last_event: int
+    last_item: ItemId
 
 
 @dataclass(frozen=True)
 class PreprocessedDB:
-    """Input database with per-item suffix-max probabilities, events sorted."""
+    """Input database as per-sequence item indexes of suffix-max probabilities."""
 
     sequences: tuple[PSequence, ...]
 
 
-# A projection entry (seq, ev, it) points just past the last matched item:
-# position ``it`` inside event ``ev`` of sequence ``seq``. Root entries use
-# ev == -1 so the scan starts at the first event.
-Entry = tuple[int, int, int]
+# A projection entry (seq, event) anchors sequence ``seq`` at event ``event``,
+# which holds the projection's ``open_item`` as its last matched item. Items
+# ascend inside an event, so the open event's remainder is its items after
+# ``open_item``. Root entries use event -1 so the scan starts at the first event.
+Entry = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,6 @@ class ExtensionCandidate:
     prob_sum: float  # sum over projected sequences of the item's best prob
     prob_max: float  # max of those per-sequence bests
     seq_count: int  # projected sequences where the item occurs at valid spots
-    weight: float
 
 
 @dataclass
@@ -121,90 +125,64 @@ class MineStats:
 def preprocess(db: UncertainDatabase, weights: WeightTable) -> tuple[PreprocessedDB, float]:
     """Suffix-max probability rewrite plus the weighted mean of item weights.
 
-    The mean is frequency-weighted over item occurrences in the database and
-    feeds the support threshold.
+    The mean is ``WamAccumulator``'s frequency-weighted mean over the
+    database and feeds the support threshold.
     """
-    sequences: list[PSequence] = []
-    wsum = 0.0
-    fsum = 0
-    for seq in db.sequences:
-        best: dict[ItemId, float] = {}
-        rewritten: list[PEvent] = []
-        for ev in reversed(seq.events):
-            items = tuple(pi.item for pi in ev.items)
-            probs = []
-            for pi in ev.items:
-                b = best.get(pi.item, 0.0)
-                if pi.prob > b:
-                    b = pi.prob
-                best[pi.item] = b
-                probs.append(b)
-            rewritten.append(PEvent(items, tuple(probs)))
-        rewritten.reverse()
-        positions = {it: tuple([k for k, _ in occ]) for it, occ in item_index(seq).items()}
-        sequences.append(PSequence(tuple(rewritten), positions))
-        for ev in seq.events:
-            for pi in ev.items:
-                wsum += weights.weight(pi.item)
-                fsum += 1
-    if fsum == 0:
-        return PreprocessedDB(()), 0.0
-    return PreprocessedDB(tuple(sequences)), wsum / fsum
+    acc = WamAccumulator()
+    acc.add(db, weights)
+    return PreprocessedDB(tuple(_index_sequence(seq) for seq in db.sequences)), acc.wam
+
+
+def _index_sequence(seq: USequence) -> PSequence:
+    index = {}
+    for item, occ in item_index(seq).items():
+        ks, probs = zip(*occ)
+        index[item] = (ks, tuple(accumulate(reversed(probs), max))[::-1])
+    return PSequence(index, len(seq.events) - 1, seq.events[-1].items[-1].item)
 
 
 def root_projection(pdb: PreprocessedDB) -> ProjectedDB:
-    return ProjectedDB(tuple((i, -1, 0) for i in range(len(pdb.sequences))), None)
+    return ProjectedDB(tuple((i, -1) for i in range(len(pdb.sequences))), None)
 
 
-def determine(
-    pdb: PreprocessedDB, proj: ProjectedDB, weights: WeightTable
-) -> tuple[list[ExtensionCandidate], float]:
-    """Extension candidates of a projection, plus the max item weight seen.
+def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate]:
+    """Extension candidates of a projection, in (kind, item) order.
 
-    S-candidates take each sequence's best probability over events strictly
-    after the open one. I-candidates consider the open event's remainder and
-    all later events, restricted to items sorting after the last open item.
-    The returned max weight covers every item occurring in the suffixes.
+    Each entry's index is read once, with one bisect per item. An
+    S-candidate takes the item's suffix max at its first event after the
+    anchor. An I-candidate, only for items after ``open_item``, takes the
+    suffix max at the anchor event when the item is there, and the S value
+    otherwise. Every item occurring in the remaining suffixes is a candidate.
     """
-    acc: dict[tuple[ExtKind, ItemId], list] = {}  # [sum, max, count]
-    seen: set[ItemId] = set()
+    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, 0])  # sum, max, count
+    i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, 0])
     open_item = proj.open_item
-    for si, ei, ii in proj.entries:
-        events = pdb.sequences[si].events
-        s_best: dict[ItemId, float] = {}
-        i_best: dict[ItemId, float] = {}
-        if ei >= 0:
-            ev = events[ei]
-            for idx in range(ii, len(ev.items)):
-                it = ev.items[idx]
-                seen.add(it)
-                p = ev.probs[idx]
-                if open_item is not None and it > open_item and p > i_best.get(it, 0.0):
-                    i_best[it] = p
-        for k in range(ei + 1, len(events)):
-            ev = events[k]
-            for it, p in zip(ev.items, ev.probs):
-                seen.add(it)
-                if p > s_best.get(it, 0.0):
-                    s_best[it] = p
-                if open_item is not None and it > open_item and p > i_best.get(it, 0.0):
-                    i_best[it] = p
-        for kind, bests in (("S", s_best), ("I", i_best)):
-            for it, p in bests.items():
-                slot = acc.get((kind, it))
-                if slot is None:
-                    acc[(kind, it)] = [p, p, 1]
-                else:
+    sequences = pdb.sequences
+    for si, ei in proj.entries:
+        for it, (ks, ps) in sequences[si].index.items():
+            j = bisect_right(ks, ei)
+            p = 0.0
+            if j < len(ks):
+                p = ps[j]
+                slot = s_acc[it]
+                slot[0] += p
+                slot[2] += 1
+                if p > slot[1]:
+                    slot[1] = p
+            if open_item is not None and it > open_item:
+                if j and ks[j - 1] == ei:
+                    p = ps[j - 1]
+                if p:
+                    slot = i_acc[it]
                     slot[0] += p
+                    slot[2] += 1
                     if p > slot[1]:
                         slot[1] = p
-                    slot[2] += 1
-    mxw_db = max((weights.weight(it) for it in seen), default=0.0)
-    cands = [
-        ExtensionCandidate(item, kind, s[0], s[1], s[2], weights.weight(item))
-        for (kind, item), s in sorted(acc.items())
+    return [
+        ExtensionCandidate(item, kind, *slot)
+        for kind, acc in (("I", i_acc), ("S", s_acc))
+        for item, slot in sorted(acc.items())
     ]
-    return cands, mxw_db
 
 
 def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind) -> ProjectedDB:
@@ -214,33 +192,30 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     remaining probability, and its suffix contains every later anchor, so
     nothing reachable is lost. Entries with an empty remaining suffix drop.
 
-    The occurrence is found by bisecting the item's event positions in the
-    sequence's index: an I-extension first takes the item inside the open
-    event (at or after the anchor), otherwise the first event after it.
+    The occurrence is found by bisecting the item's event positions: an
+    I-extension first takes the item inside the open event when it sorts
+    after ``open_item``, otherwise the first event after the anchor.
     Sequences that lack the item cost one dict miss.
     """
     out: list[Entry] = []
     sequences = pdb.sequences
-    for si, ei, ii in proj.entries:
+    open_item = proj.open_item
+    for si, ei in proj.entries:
         seq = sequences[si]
-        ks = seq.positions.get(item)
-        if ks is None:
+        occ = seq.index.get(item)
+        if occ is None:
             continue
-        events = seq.events
+        ks = occ[0]
         j = bisect_right(ks, ei)
-        k = -1
-        if kind == "I" and j and ks[j - 1] == ei:
-            idx = events[ei].items.index(item)
-            if idx >= ii:
-                k = ei
-        if k < 0:
-            if j == len(ks):
-                continue
+        if kind == "I" and j and ks[j - 1] == ei and item > open_item:
+            k = ei
+        elif j < len(ks):
             k = ks[j]
-            idx = events[k].items.index(item)
-        if idx + 1 >= len(events[k].items) and k == len(events) - 1:
+        else:
+            continue
+        if k == seq.last_event and item == seq.last_item:
             continue  # nothing left to extend into
-        out.append((si, k, idx + 1))
+        out.append((si, k))
     # The extension item ends the open itemset under either edge kind.
     return ProjectedDB(tuple(out), item)
 
@@ -249,22 +224,10 @@ def exp_support_top(
     prefix_maxpr: float, item: ItemId, pdb: PreprocessedDB, proj: ProjectedDB, kind: ExtKind = "S"
 ) -> float:
     """Classic looser support bound: prefix maxpr x item's peak prob x support."""
-    cands, _ = determine(pdb, proj, _UNIT_WEIGHTS)
-    for cand in cands:
+    for cand in determine(pdb, proj):
         if cand.item == item and cand.kind == kind:
             return prefix_maxpr * cand.prob_max * cand.seq_count
     return 0.0
-
-
-class _UnitWeights:
-    entries: dict = {}
-
-    @staticmethod
-    def weight(item: ItemId) -> float:
-        return 1.0
-
-
-_UNIT_WEIGHTS = _UnitWeights()
 
 
 def mine_trie(
@@ -286,7 +249,7 @@ def mine_trie(
     t0 = time.perf_counter()
     pdb, wam = preprocess(db, weights)
     stats.wam = wam
-    min_wes = min_sup * db.size * wam * wgt_fct
+    min_wes = Thresholds.compute(min_sup, db.size, wam, wgt_fct, 1.0).min_wes
     stats.min_wes = min_wes
     trie = USeqTrie()
     if pdb.sequences:
@@ -314,11 +277,12 @@ def _grow(
     trace: list[BoundRecord] | None,
     weights: WeightTable,
 ) -> None:
-    cands, mxw_db = determine(pdb, proj, weights)
+    cands = determine(pdb, proj)
+    mxw_db = max((weights.weight(c.item) for c in cands), default=0.0)
+    wgt_cap = mxw_db if mxw_db > mxw else mxw
     for cand in cands:
         cap = maxpr * cand.prob_sum
         top = maxpr * cand.prob_max * cand.seq_count
-        wgt_cap = mxw_db if mxw_db > mxw else mxw
         est = (cap if bound == "cap" else top) * wgt_cap
         generated = meets(est, min_wes)
         if trace is None and not generated:
@@ -332,12 +296,13 @@ def _grow(
         stats.candidates += 1
         child = project(pdb, proj, cand.item, cand.kind)
         if child.entries:
+            w = weights.weight(cand.item)
             _grow(
                 pdb,
                 child,
                 pat,
                 maxpr * cand.prob_max,
-                mxw if mxw > cand.weight else cand.weight,
+                mxw if mxw > w else w,
                 min_wes,
                 trie,
                 stats,
@@ -369,8 +334,7 @@ def pattern_max_pr(pdb: PreprocessedDB, pattern: Pattern) -> float:
         steps.append((ev[0], "S"))
         steps.extend((it, "I") for it in ev[1:])
     for item, kind in steps:
-        cands, _ = determine(pdb, proj, _UNIT_WEIGHTS)
-        hit = next((c for c in cands if c.item == item and c.kind == kind), None)
+        hit = next((c for c in determine(pdb, proj) if c.item == item and c.kind == kind), None)
         if hit is None:
             return 0.0
         maxpr *= hit.prob_max

@@ -28,33 +28,11 @@ from .model import (
     ScoredPattern,
     Thresholds,
     UncertainDatabase,
+    WamAccumulator,
     WeightTable,
     meets,
 )
 from .trie import USeqTrie, sup_calc
-
-
-@dataclass
-class WamAccumulator:
-    """Running numerator/denominator of the frequency-weighted mean weight."""
-
-    weighted_freq_sum: float = 0.0
-    freq_sum: int = 0
-
-    @property
-    def wam(self) -> float:
-        return self.weighted_freq_sum / self.freq_sum if self.freq_sum else 0.0
-
-    def add(self, db: UncertainDatabase, weights: WeightTable) -> None:
-        for item, freq in db.item_frequencies().items():
-            self.weighted_freq_sum += freq * weights.weight(item)
-            self.freq_sum += freq
-
-
-def update_wam(acc: WamAccumulator, delta: UncertainDatabase, weights: WeightTable) -> float:
-    """Fold an increment's item frequencies into the accumulator; new mean."""
-    acc.add(delta, weights)
-    return acc.wam
 
 
 @dataclass
@@ -106,7 +84,7 @@ def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[Score
     _check_weights(delta, state.weights)
     sup_calc(state.seq_trie, delta, state.weights)
     state.db_size += delta.size
-    update_wam(state.wam_acc, delta, state.weights)
+    state.wam_acc.add(delta, state.weights)
     th = state.thresholds()
     state.seq_trie.prune_below(th.min_wes_prime)
     return state.seq_trie.collect(th.min_wes)
@@ -117,7 +95,8 @@ def local_threshold(state: IncrementalState, delta: UncertainDatabase) -> float:
     p = state.params
     delta_acc = WamAccumulator()
     delta_acc.add(delta, state.weights)
-    return p.lwes_factor * p.min_sup * p.mu * delta.size * delta_acc.wam * p.wgt_fct
+    scaled = p.lwes_factor * p.min_sup * p.mu
+    return Thresholds.compute(scaled, delta.size, delta_acc.wam, p.wgt_fct, 1.0).min_wes
 
 
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
@@ -131,7 +110,7 @@ def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[S
     sup_calc(state.seq_trie, delta, state.weights)
     sup_calc(state.pfs_trie, delta, state.weights)
     state.db_size += delta.size
-    update_wam(state.wam_acc, delta, state.weights)
+    state.wam_acc.add(delta, state.weights)
     th = state.thresholds()
 
     # Demote or drop tracked patterns that fell under the buffered threshold.

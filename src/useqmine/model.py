@@ -1,7 +1,7 @@
 """Domain types for weighted sequential pattern mining over uncertain sequences.
 
 Items are opaque text tokens with lexicographic order. Every type here is
-immutable after construction and safe to share across threads.
+immutable after construction except the running ``WamAccumulator``.
 """
 
 from __future__ import annotations
@@ -269,6 +269,27 @@ class MiningParams:
             raise MiningError(f"lwes_factor must be positive: {self.lwes_factor}")
 
 
+@dataclass
+class WamAccumulator:
+    """Running numerator/denominator of the frequency-weighted mean weight.
+
+    WAM = sum(freq_i * weight_i) / sum(freq_i) over the items of every
+    database added so far; the one definition of the formula.
+    """
+
+    weighted_freq_sum: float = 0.0
+    freq_sum: int = 0
+
+    @property
+    def wam(self) -> float:
+        return self.weighted_freq_sum / self.freq_sum if self.freq_sum else 0.0
+
+    def add(self, db: UncertainDatabase, weights: WeightTable) -> None:
+        for item, freq in db.item_frequencies().items():
+            self.weighted_freq_sum += freq * weights.weight(item)
+            self.freq_sum += freq
+
+
 @dataclass(frozen=True)
 class Thresholds:
     db_size: int
@@ -278,5 +299,6 @@ class Thresholds:
 
     @staticmethod
     def compute(min_sup: float, db_size: int, wam: float, wgt_fct: float, mu: float) -> "Thresholds":
+        """The one definition of minWES; minWES' scales it by the buffer ratio mu."""
         min_wes = min_sup * db_size * wam * wgt_fct
         return Thresholds(db_size=db_size, wam=wam, min_wes=min_wes, min_wes_prime=min_wes * mu)

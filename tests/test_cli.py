@@ -245,7 +245,3 @@ class TestBench:
         assert main(["bench", "--db", files["db"], "--weights", files["w"],
                      "--min-sup-list", "0.2,oops", "--out",
                      str(tmp_path / "b.csv")]) == 2
-
-    def test_threads_flag_validated(self, files, tmp_path):
-        assert main(["mine", "--db", files["db"], "--weights", files["w"],
-                     "--min-sup", "0.2", "--wgt-fct", "1.0", "--threads", "0"]) == 2

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from useqmine import (
+    WamAccumulator,
+    WeightTable,
     determine,
     exp_support_top,
     fuws,
@@ -15,6 +17,7 @@ from useqmine import (
     root_projection,
     s_weight,
 )
+from useqmine.model import item_index
 
 from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
@@ -28,8 +31,7 @@ class TestPreprocess:
     def test_suffix_max_rewrite(self, tmp_path, sample_weights):
         db = db_from_text(tmp_path, "a:0.3 -1 a:0.9 -1 -2\n")
         pdb, _ = preprocess(db, sample_weights)
-        probs = [ev.probs for ev in pdb.sequences[0].events]
-        assert probs == [(0.9,), (0.9,)]
+        assert pdb.sequences[0].index == {"a": ((0, 1), (0.9, 0.9))}
 
     def test_nonincreasing_per_item(self, tmp_path, sample_weights):
         rng = random.Random(5)
@@ -37,30 +39,45 @@ class TestPreprocess:
         wt = random_weights(rng)
         pdb, _ = preprocess(db, wt)
         for seq in pdb.sequences:
-            last: dict = {}
-            for ev in reversed(seq.events):
-                for it, p in zip(ev.items, ev.probs):
-                    if it in last:
-                        assert p >= last[it]
-                    last[it] = p
+            for _, ps in seq.index.values():
+                assert all(a >= b for a, b in zip(ps, ps[1:]))
 
     def test_identity_when_items_unique(self, tmp_path, sample_weights):
         db = db_from_text(tmp_path, "a:0.3 -1 b:0.9 -1 c:0.2 -1 -2\n")
         pdb, _ = preprocess(db, sample_weights)
-        assert [ev.probs for ev in pdb.sequences[0].events] == [(0.3,), (0.9,), (0.2,)]
+        assert pdb.sequences[0].index == {
+            "a": ((0,), (0.3,)),
+            "b": ((1,), (0.9,)),
+            "c": ((2,), (0.2,)),
+        }
 
     def test_shape_preserved(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
         for seq, pseq in zip(sample_db.sequences, pdb.sequences):
-            assert [tuple(pi.item for pi in ev.items) for ev in seq.events] == [
-                ev.items for ev in pseq.events
-            ]
+            positions = {it: tuple(k for k, _ in occ) for it, occ in item_index(seq).items()}
+            assert {it: ks for it, (ks, _) in pseq.index.items()} == positions
+            assert pseq.last_event == len(seq.events) - 1
+            assert pseq.last_item == seq.events[-1].items[-1].item
+
+    def test_wam_is_the_accumulator_mean(self, tmp_path):
+        # Summing weights per occurrence (0.3 + 0.7 + 0.3) rounds differently
+        # from summing freq * weight per item (2 * 0.3 + 0.7); WAM is the latter.
+        db = db_from_text(tmp_path, "b:0.5 -1 a:0.5 b:0.5 -1 -2\n")
+        wt = WeightTable({"a": 0.7, "b": 0.3})
+        acc = WamAccumulator()
+        acc.add(db, wt)
+        assert acc.wam != (0.3 + 0.7 + 0.3) / 3
+        assert preprocess(db, wt)[1] == acc.wam
+
+
+def max_weight(cands, weights):
+    return max((weights.weight(c.item) for c in cands), default=0.0)
 
 
 class TestDetermine:
     def test_root_candidates(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
-        cands, mxw_db = determine(pdb, root_projection(pdb), sample_weights)
+        cands = determine(pdb, root_projection(pdb))
         by_item = {(c.kind, c.item): c for c in cands}
         assert set(by_item) == {("S", it) for it in "abcdg"}
         # Per-sequence suffix maxima summed; sequence 6 peaks at 0.1 for a.
@@ -69,7 +86,7 @@ class TestDetermine:
         assert by_item[("S", "c")].prob_sum == pytest.approx(2.0)
         assert by_item[("S", "d")].prob_sum == pytest.approx(0.8)
         assert by_item[("S", "g")].prob_sum == pytest.approx(0.5)
-        assert mxw_db == 1.0
+        assert max_weight(cands, sample_weights) == 1.0
 
     def test_projection_after_ac(self, sample_db, sample_weights):
         # Suffixes after the first (a c) event: three non-empty projections,
@@ -78,7 +95,7 @@ class TestDetermine:
         proj = project(pdb, root_projection(pdb), "a", "S")
         proj = project(pdb, proj, "c", "I")
         assert len(proj.entries) == 3
-        cands, _ = determine(pdb, proj, sample_weights)
+        cands = determine(pdb, proj)
         by_item = {(c.kind, c.item): c for c in cands}
         assert by_item[("S", "b")].prob_sum == pytest.approx(0.7)
         assert by_item[("S", "a")].prob_sum == pytest.approx(1.5)
@@ -89,8 +106,8 @@ class TestDetermine:
         for item, kind in [("c", "S"), ("a", "S"), ("b", "S"), ("d", "S")]:
             proj = project(pdb, proj, item, kind)
         assert proj.entries == ()
-        cands, mxw = determine(pdb, proj, sample_weights)
-        assert cands == [] and mxw == 0.0
+        cands = determine(pdb, proj)
+        assert cands == [] and max_weight(cands, sample_weights) == 0.0
 
 
 class TestBounds:
@@ -145,8 +162,7 @@ class TestBounds:
         root = root_projection(pdb)
         # Looser bound at the root for item a: peak 0.9 over 6 sequences.
         assert exp_support_top(1.0, "a", pdb, root) == pytest.approx(5.4)
-        cands, _ = determine(pdb, root, sample_weights)
-        for c in cands:
+        for c in determine(pdb, root):
             top = exp_support_top(1.0, c.item, pdb, root, c.kind)
             assert c.prob_sum <= top + 1e-12
             if c.seq_count == 1:

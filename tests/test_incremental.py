@@ -17,7 +17,6 @@ from useqmine import (
     save_state,
     USeqTrie,
     WeightTable,
-    update_wam,
     uwsinc_step,
     uwsincplus_step,
 )
@@ -218,12 +217,14 @@ class TestWam:
         acc = WamAccumulator()
         acc.add(sample_db, sample_weights)
         before = acc.wam
-        assert update_wam(acc, UncertainDatabase(()), sample_weights) == before
+        acc.add(UncertainDatabase(()), sample_weights)
+        assert acc.wam == before
 
     def test_matches_scratch_recomputation(self, sample_db, sample_weights, delta1):
         acc = WamAccumulator()
         acc.add(sample_db, sample_weights)
-        got = update_wam(acc, delta1, sample_weights)
+        acc.add(delta1, sample_weights)
+        got = acc.wam
         whole = UncertainDatabase.concat([sample_db, delta1])
         freq = whole.item_frequencies()
         scratch = sum(n * sample_weights.weight(it) for it, n in freq.items()) / sum(freq.values())

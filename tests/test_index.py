@@ -1,4 +1,5 @@
-"""Property tests for the per-sequence item index behind ``project`` and ``sup_calc``."""
+"""Property tests for the per-sequence item index behind ``determine``, ``project``
+and ``sup_calc``."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from useqmine import (
     USeqTrie,
     USequence,
     WeightTable,
+    determine,
     max_pr_dynamic,
     preprocess,
     project,
@@ -46,33 +48,66 @@ def databases(draw, max_events=6):
     return UncertainDatabase(tuple(seqs))
 
 
-def project_linear(pdb, proj, item, kind):
-    """Reference: forward scan of the events for the first qualifying occurrence."""
-
-    def pos_of(ev):
-        return ev.items.index(item) if item in ev.items else None
-
+def project_linear(db, proj, item, kind):
+    """Reference: forward scan of the raw events for the first qualifying occurrence."""
     out = []
-    for si, ei, ii in proj.entries:
-        events = pdb.sequences[si].events
+    for si, ei in proj.entries:
+        events = [[pi.item for pi in ev.items] for ev in db.sequences[si].events]
         pos = None
-        if kind == "I" and ei >= 0:
-            idx = pos_of(events[ei])
-            if idx is not None and idx >= ii:
-                pos = (ei, idx)
+        if kind == "I" and ei >= 0 and item in events[ei] and item > proj.open_item:
+            pos = ei
         if pos is None:
-            for k in range(ei + 1, len(events)):
-                idx = pos_of(events[k])
-                if idx is not None:
-                    pos = (k, idx)
-                    break
-        if pos is None:
-            continue
-        k, idx = pos
-        if idx + 1 >= len(events[k].items) and k == len(events) - 1:
-            continue
-        out.append((si, k, idx + 1))
+            pos = next((k for k in range(ei + 1, len(events)) if item in events[k]), None)
+        if pos is None or (pos == len(events) - 1 and events[pos][-1] == item):
+            continue  # absent, or nothing left to extend into
+        out.append((si, pos))
     return ProjectedDB(tuple(out), item)
+
+
+def suffix_max_events(seq):
+    """Each event as (item, prob) pairs, prob raised to the item's max over the rest."""
+    best = {}
+    rows = []
+    for ev in reversed(seq.events):
+        for pi in ev.items:
+            best[pi.item] = max(best.get(pi.item, 0.0), pi.prob)
+        rows.append([(pi.item, best[pi.item]) for pi in ev.items])
+    return rows[::-1]
+
+
+def determine_walk(db, proj):
+    """Reference: walk each entry's events in the suffix-max rewrite.
+
+    Returns the candidates as (kind, item, prob_sum, prob_max, seq_count) in
+    (kind, item) order, and the set of items seen in the remaining suffixes.
+    """
+    acc = {}
+    seen = set()
+    open_item = proj.open_item
+    for si, ei in proj.entries:
+        events = suffix_max_events(db.sequences[si])
+        s_best, i_best = {}, {}
+        if ei >= 0:
+            for it, p in events[ei]:
+                if it > open_item:  # the open event's remainder
+                    seen.add(it)
+                    i_best[it] = max(i_best.get(it, 0.0), p)
+        for ev in events[ei + 1 :]:
+            for it, p in ev:
+                seen.add(it)
+                s_best[it] = max(s_best.get(it, 0.0), p)
+                if open_item is not None and it > open_item:
+                    i_best[it] = max(i_best.get(it, 0.0), p)
+        for kind, bests in (("S", s_best), ("I", i_best)):
+            for it, p in bests.items():
+                slot = acc.get((kind, it))
+                if slot is None:
+                    acc[(kind, it)] = [p, p, 1]
+                else:
+                    slot[0] += p
+                    slot[1] = max(slot[1], p)
+                    slot[2] += 1
+    return [(kind, it, *slot) for (kind, it), slot in sorted(acc.items())], seen
 
 
 EXTENSIONS = st.tuples(st.sampled_from(DB_ITEMS + "z"), st.sampled_from("SI"))
@@ -83,15 +118,12 @@ EXTENSIONS = st.tuples(st.sampled_from(DB_ITEMS + "z"), st.sampled_from("SI"))
 def test_project_matches_linear_scan_on_random_entries(data, db):
     pdb, _ = preprocess(db, WEIGHTS)
     entries = []
-    for si, seq in enumerate(pdb.sequences):
-        if not data.draw(st.booleans()):
-            continue
-        ei = data.draw(st.integers(-1, len(seq.events) - 1))
-        ii = 0 if ei < 0 else data.draw(st.integers(0, len(seq.events[ei].items)))
-        entries.append((si, ei, ii))
+    for si, seq in enumerate(db.sequences):
+        if data.draw(st.booleans()):
+            entries.append((si, data.draw(st.integers(-1, len(seq.events) - 1))))
     proj = ProjectedDB(tuple(entries), data.draw(st.sampled_from(DB_ITEMS)))
     item, kind = data.draw(EXTENSIONS)
-    assert project(pdb, proj, item, kind) == project_linear(pdb, proj, item, kind)
+    assert project(pdb, proj, item, kind) == project_linear(db, proj, item, kind)
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,9 +132,25 @@ def test_project_matches_linear_scan_along_growth_chains(db, chain):
     pdb, _ = preprocess(db, WEIGHTS)
     proj = root_projection(pdb)
     for item, kind in chain:
-        want = project_linear(pdb, proj, item, kind)
+        want = project_linear(db, proj, item, kind)
         proj = project(pdb, proj, item, kind)
         assert proj == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), db=databases())
+def test_determine_matches_event_walk_along_growth_chains(data, db):
+    pdb, _ = preprocess(db, WEIGHTS)
+    proj = root_projection(pdb)
+    for _ in range(5):
+        cands = determine(pdb, proj)
+        want, seen = determine_walk(db, proj)
+        assert [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands] == want
+        assert {c.item for c in cands} == seen
+        if not cands:
+            break
+        pick = data.draw(st.sampled_from(cands))
+        proj = project(pdb, proj, pick.item, pick.kind)
 
 
 patterns = st.lists(itemsets(TRIE_ITEMS), min_size=1, max_size=3).map(
