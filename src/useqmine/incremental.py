@@ -18,6 +18,7 @@ never overshoot the truth.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -90,23 +91,30 @@ def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[Score
     return state.seq_trie.collect(th.min_wes)
 
 
+def _local_min_sup(params: MiningParams) -> float:
+    """The support fraction an increment is mined at on its own."""
+    return params.lwes_factor * params.min_sup * params.mu
+
+
 def local_threshold(state: IncrementalState, delta: UncertainDatabase) -> float:
-    """Support threshold applied inside a single increment."""
+    """Support threshold applied inside a single increment.
+
+    ``uwsincplus_step`` takes the same value from its local mine's
+    ``MineStats.min_wes``.
+    """
     p = state.params
     delta_acc = WamAccumulator()
     delta_acc.add(delta, state.weights)
-    scaled = p.lwes_factor * p.min_sup * p.mu
-    return Thresholds.compute(scaled, delta.size, delta_acc.wam, p.wgt_fct, 1.0).min_wes
+    return Thresholds.compute(_local_min_sup(p), delta.size, delta_acc.wam, p.wgt_fct, 1.0).min_wes
 
 
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment, keeping the promising buffer; returns the frequent set."""
     _check_weights(delta, state.weights)
-    p = state.params
-    lwes = local_threshold(state, delta)
-    lfs_trie, _ = mine_trie(
-        delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct
+    lfs_trie, local = mine_trie(
+        delta, state.weights, _local_min_sup(state.params), state.params.wgt_fct
     )
+    lwes = local.min_wes
     sup_calc(state.seq_trie, delta, state.weights)
     sup_calc(state.pfs_trie, delta, state.weights)
     state.db_size += delta.size
@@ -140,12 +148,21 @@ def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[S
 
 
 # -- checkpointing ---------------------------------------------------------
-# Text form: a header line "db_size wam_num wam_den min_sup wgt_fct mu
-# lwes_factor", then the two trie snapshots introduced by "[seq-trie]" and
-# "[pfs-trie]" section lines.
+# Text form: a header line "version weights_sha256 db_size wam_num wam_den
+# min_sup wgt_fct mu lwes_factor", then the two trie snapshots introduced by
+# "[seq-trie]" and "[pfs-trie]" section lines. The digest is taken over the
+# weight table the state was mined with (``_weights_digest``); a state resumed
+# under other weights would mix two sets of wes values.
 
+CHECKPOINT_VERSION = "useqmine-checkpoint/2"
 CHECKPOINT_SEQ = "[seq-trie]"
 CHECKPOINT_PFS = "[pfs-trie]"
+
+
+def _weights_digest(weights: WeightTable) -> str:
+    """SHA-256 of the table's ``item weight!r`` lines, sorted by item."""
+    text = "".join(f"{item} {w!r}\n" for item, w in sorted(weights.entries.items()))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_state(state: IncrementalState, path: str) -> None:
@@ -159,6 +176,7 @@ def save_state(state: IncrementalState, path: str) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             p = state.params
             fh.write(
+                f"{CHECKPOINT_VERSION} {_weights_digest(state.weights)} "
                 f"{state.db_size} {state.wam_acc.weighted_freq_sum!r} {state.wam_acc.freq_sum} "
                 f"{p.min_sup!r} {p.wgt_fct!r} {p.mu!r} {p.lwes_factor!r}\n"
             )
@@ -176,22 +194,36 @@ def save_state(state: IncrementalState, path: str) -> None:
 
 
 def load_state(path: str, weights: WeightTable) -> IncrementalState:
+    """Read a checkpoint written by ``save_state`` with the same weight table.
+
+    Raises ``MiningError`` for another format version, for a state mined
+    with other weights, and for a malformed file.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise MiningError(f"empty checkpoint {path}")
     head = lines[0].split()
-    if len(head) != 7:
-        raise MiningError(f"checkpoint header needs 7 fields, got {len(head)}")
+    if not head or head[0] != CHECKPOINT_VERSION:
+        found = repr(head[0]) if head else "nothing"
+        raise MiningError(
+            f"checkpoint {path} is not format {CHECKPOINT_VERSION} (found {found})"
+        )
+    if len(head) != 9:
+        raise MiningError(f"checkpoint header needs 9 fields, got {len(head)}")
+    if head[1] != _weights_digest(weights):
+        raise MiningError(
+            f"checkpoint {path} was written with a different weight table; refusing to resume"
+        )
     try:
-        db_size = int(head[0])
-        wam_num = float(head[1])
-        wam_den = int(head[2])
+        db_size = int(head[2])
+        wam_num = float(head[3])
+        wam_den = int(head[4])
         params = MiningParams(
-            min_sup=float(head[3]),
-            wgt_fct=float(head[4]),
-            mu=float(head[5]),
-            lwes_factor=float(head[6]),
+            min_sup=float(head[5]),
+            wgt_fct=float(head[6]),
+            mu=float(head[7]),
+            lwes_factor=float(head[8]),
         )
     except ValueError as exc:
         raise MiningError(f"bad checkpoint header: {exc}") from None

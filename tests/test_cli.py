@@ -165,6 +165,21 @@ class TestInc:
                  for sp in read_patterns_tsv(os.path.join(straight, "step_2.tsv"))}
         assert resumed == pytest.approx(whole)
 
+    def test_checkpoint_with_other_weights_refused(self, files, tmp_path, capsys):
+        ck = str(tmp_path / "state.ck")
+        flags = ["--algo", "uwsinc+", "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0"]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"], "--weights",
+                     files["w"], *flags, "--out-dir", str(tmp_path / "run1"),
+                     "--checkpoint", ck]) == 0
+        other = tmp_path / "other_weights.txt"
+        other.write_text(WEIGHTS_TEXT.replace("a 0.8", "a 0.5"))
+        capsys.readouterr()
+        assert main(["inc", "--delta", files["d2"], "--weights", str(other), *flags,
+                     "--out-dir", str(tmp_path / "run2"), "--checkpoint", ck]) == 1
+        err = capsys.readouterr().err
+        assert "different weight table" in err
+        assert "Traceback" not in err
+
     def test_missing_init_without_checkpoint(self, files, tmp_path):
         assert main(["inc", "--delta", files["d1"], "--weights", files["w"],
                      "--algo", "uwsinc", "--min-sup", "0.2", "--mu", "0.7",

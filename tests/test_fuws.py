@@ -3,11 +3,15 @@ import random
 import pytest
 
 from useqmine import (
+    BoundRecord,
+    Thresholds,
     WamAccumulator,
     WeightTable,
     determine,
     exp_support_top,
+    extend,
     fuws,
+    meets,
     mine_trie,
     oracle_exp_sup,
     oracle_mine,
@@ -16,6 +20,7 @@ from useqmine import (
     project,
     root_projection,
     s_weight,
+    single,
 )
 from useqmine.model import item_index
 
@@ -201,6 +206,59 @@ def _grows_from(desc, anc):
         else:
             return False
     return True
+
+
+def unpruned_trace(db, wt, min_sup, bound):
+    """Reference growth: every level bounds every item of the full index, and
+    wgt_cap is the largest weight over all of the level's candidates."""
+    pdb, wam = preprocess(db, wt)
+    min_wes = Thresholds.compute(min_sup, db.size, wam, 1.0, 1.0).min_wes
+    records = []
+
+    def grow(proj, prefix, maxpr, mxw):
+        cands = determine(pdb, proj)
+        wgt_cap = max([mxw] + [wt.weight(c.item) for c in cands])
+        for cand in cands:
+            cap = maxpr * cand.prob_sum
+            top = maxpr * cand.prob_max * cand.seq_count
+            generated = meets((cap if bound == "cap" else top) * wgt_cap, min_wes)
+            pat = extend(prefix, cand.item, cand.kind) if prefix else single(cand.item)
+            records.append(BoundRecord(pat, cand.kind, cap, top, wgt_cap, generated))
+            child = project(pdb, proj, cand.item, cand.kind) if generated else None
+            if child and child.entries:
+                grow(child, pat, maxpr * cand.prob_max, max(mxw, wt.weight(cand.item)))
+
+    grow(root_projection(pdb), None, 1.0, 0.0)
+    return records
+
+
+@pytest.mark.parametrize("bound", ["cap", "top"])
+def test_root_pruning_keeps_every_generated_bound(bound):
+    rng = random.Random(4040)
+    dropped = 0
+    for _ in range(200):
+        db = random_db(rng, max_seqs=10)
+        wt = random_weights(rng)
+        min_sup = rng.choice([0.1, 0.2, 0.3, 0.4])
+        trace = []
+        mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
+        want = {r.pattern: r for r in unpruned_trace(db, wt, min_sup, bound)}
+        got = {r.pattern: r for r in trace}
+        assert len(got) == len(trace)
+        # Every record left is bit-identical, and so is every generated one.
+        assert all(want.get(pat) == rec for pat, rec in got.items())
+        generated = {p for p, r in got.items() if r.generated}
+        assert generated == {p for p, r in want.items() if r.generated}
+        # The root level is bounded on the full index.
+        assert {p: r for p, r in want.items() if p.length == 1} == {
+            p: r for p, r in got.items() if p.length == 1
+        }
+        pruned = {p.events[0][0] for p, r in want.items() if p.length == 1 and not r.generated}
+        for pat in want.keys() - got.keys():
+            assert not want[pat].generated
+            assert any(it in pruned for ev in pat.events for it in ev)
+            dropped += 1
+    assert dropped > 0
 
 
 class TestFuws:

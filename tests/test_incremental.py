@@ -13,6 +13,7 @@ from useqmine import (
     load_state,
     local_threshold,
     meets,
+    mine_trie,
     oracle_wes,
     save_state,
     USeqTrie,
@@ -158,6 +159,13 @@ class TestUwsincPlus:
                 P("(c)(a)(d)"): 0.77,
             },
         )
+
+    def test_local_threshold_is_the_local_mines(self, sample_db, sample_weights, delta1):
+        # uwsincplus_step reads lwes off its local mine instead of recomputing it.
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        scaled = PARAMS.lwes_factor * PARAMS.min_sup * PARAMS.mu
+        _, local = mine_trie(delta1, sample_weights, scaled, PARAMS.wgt_fct)
+        assert local_threshold(state, delta1) == local.min_wes
 
     def test_invariants_after_each_step(self, sample_db, sample_weights, delta1, delta2):
         state = init_mining(sample_db, sample_weights, PARAMS)
@@ -325,6 +333,36 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert state_fingerprint(load_state(path, sample_weights)) == saved
         assert [p.name for p in ck_dir.iterdir()] == ["ck.txt"]
+
+    def test_save_load_save_is_byte_identical(self, sample_db, sample_weights, delta1, tmp_path):
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        uwsincplus_step(state, delta1)
+        first, second = tmp_path / "a.ck", tmp_path / "b.ck"
+        save_state(state, str(first))
+        save_state(load_state(str(first), sample_weights), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_changed_weights_refused(self, sample_db, sample_weights, tmp_path):
+        path = str(tmp_path / "ck.txt")
+        save_state(init_mining(sample_db, sample_weights, PARAMS), path)
+        changed = dict(sample_weights.entries, a=sample_weights.weight("a") / 2)
+        for other in (WeightTable(changed), WeightTable({**sample_weights.entries, "z": 0.5})):
+            with pytest.raises(MiningError, match="different weight table"):
+                load_state(path, other)
+        load_state(path, WeightTable(dict(reversed(sample_weights.entries.items()))))
+
+    def test_other_format_version_refused(self, sample_db, sample_weights, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_state(init_mining(sample_db, sample_weights, PARAMS), str(path))
+        head, rest = path.read_text().split("\n", 1)
+        fields = head.split()
+        for bad in (
+            " ".join(["useqmine-checkpoint/1", *fields[1:]]),
+            " ".join(fields[2:]),  # the unversioned header
+        ):
+            path.write_text(bad + "\n" + rest)
+            with pytest.raises(MiningError, match="not format useqmine-checkpoint/2"):
+                load_state(str(path), sample_weights)
 
     def test_bad_files_rejected(self, sample_weights, tmp_path):
         path = tmp_path / "bad.txt"

@@ -22,6 +22,7 @@ from useqmine import (
     s_weight,
     sup_calc,
 )
+from useqmine.fuws import prune_index
 
 DB_ITEMS = "abcde"
 TRIE_ITEMS = "cdefg"  # overlaps DB_ITEMS only in c, d, e
@@ -29,20 +30,21 @@ WEIGHTS = WeightTable({"a": 0.8, "b": 1.0, "c": 0.9, "d": 0.6, "e": 0.7, "f": 0.
 PROBS = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 
 
-def itemsets(items):
-    return st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True).map(
+def itemsets(items, min_size=1):
+    return st.lists(st.sampled_from(items), min_size=min_size, max_size=3, unique=True).map(
         lambda xs: tuple(sorted(xs))
     )
 
 
 @st.composite
-def databases(draw, max_events=6):
+def databases(draw, max_events=6, last_min_size=1):
     # A small alphabet and up to six events make repeated items across events common.
     seqs = []
     for sid in range(1, draw(st.integers(1, 5)) + 1):
+        sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
         events = tuple(
-            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(DB_ITEMS))))
-            for _ in range(draw(st.integers(1, max_events)))
+            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(DB_ITEMS, size))))
+            for size in sizes
         )
         seqs.append(USequence(id=sid, events=events))
     return UncertainDatabase(tuple(seqs))
@@ -147,6 +149,29 @@ def test_determine_matches_event_walk_along_growth_chains(data, db):
         want, seen = determine_walk(db, proj)
         assert [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands] == want
         assert {c.item for c in cands} == seen
+        if not cands:
+            break
+        pick = data.draw(st.sampled_from(cands))
+        proj = project(pdb, proj, pick.item, pick.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), db=databases(last_min_size=2), keep=st.sets(st.sampled_from(DB_ITEMS)))
+def test_determine_on_pruned_index_matches_event_walk(data, db, keep):
+    # Final events of two or more items put I-candidates whose last
+    # occurrence is the anchor event itself, where ``determine`` must not stop.
+    pdb, _ = preprocess(db, WEIGHTS)
+    prune_index(pdb, keep, WEIGHTS)
+    for seq in pdb.sequences:
+        lasts = [ks[-1] for ks, _ in seq.index.values()]
+        assert lasts == sorted(lasts, reverse=True)
+        assert set(seq.index) <= keep
+    proj = root_projection(pdb)
+    for _ in range(5):
+        cands = determine(pdb, proj)
+        want, _ = determine_walk(db, proj)
+        got = [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands]
+        assert got == [w for w in want if w[1] in keep]
         if not cands:
             break
         pick = data.draw(st.sampled_from(cands))
