@@ -157,11 +157,18 @@ def cmd_inc(args: argparse.Namespace) -> int:
         raise UsageError(f"--wgt-fct must be positive: {args.wgt_fct}")
     if args.lwes_factor <= 0:
         raise UsageError(f"--lwes-factor must be positive: {args.lwes_factor}")
+    if args.algo == "baseline":
+        if args.checkpoint:
+            raise UsageError("--algo baseline keeps no state; --checkpoint does not apply")
+        if not args.init:
+            raise UsageError("--algo baseline needs --init")
     resume = args.checkpoint and os.path.exists(args.checkpoint)
+    if resume and args.init:
+        raise UsageError(
+            f"--checkpoint {args.checkpoint} exists and would be resumed; drop --init"
+        )
     if not args.init and not resume:
         raise UsageError("--init is required unless --checkpoint points at an existing state")
-    if args.algo == "baseline" and not args.init:
-        raise UsageError("--algo baseline needs --init (checkpoints do not apply)")
 
     weights = dataio.parse_weights(args.weights)
     deltas = [dataio.parse_uncertain_db(p) for p in args.delta]

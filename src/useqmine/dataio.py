@@ -188,7 +188,7 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
             if not tokens:
                 continue
             events = _parse_sequence_tokens(tokens, path, lineno)
-            sequences.append(USequence(id=len(sequences) + 1, events=events))
+            sequences.append(USequence(events))
     return UncertainDatabase(tuple(sequences))
 
 
@@ -307,7 +307,7 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
                     seen.add(item)
                     first_seen.append(item)
             evs.append(Event(tuple(ProbItem(it, probs[it]) for it in sorted(probs))))
-        sequences.append(USequence(id=len(sequences) + 1, events=tuple(evs)))
+        sequences.append(USequence(tuple(evs)))
     entries = {
         item: _clamp01(rng.gauss(cfg.weight_mean, cfg.weight_std)) for item in first_seen
     }
@@ -338,16 +338,11 @@ def split_db(db: UncertainDatabase, spec: SplitSpec) -> tuple[UncertainDatabase,
             f"split needs {initial_size + sum(sizes)} sequences, file has {total}"
         )
 
-    def slice_db(seqs: tuple[USequence, ...]) -> UncertainDatabase:
-        return UncertainDatabase(
-            tuple(USequence(id=i + 1, events=s.events) for i, s in enumerate(seqs))
-        )
-
-    initial = slice_db(db.sequences[:initial_size])
+    initial = UncertainDatabase(db.sequences[:initial_size])
     increments = []
     at = initial_size
     for size in sizes:
-        increments.append(slice_db(db.sequences[at : at + size]))
+        increments.append(UncertainDatabase(db.sequences[at : at + size]))
         at += size
     return initial, increments
 

@@ -48,7 +48,7 @@ import time
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .model import (
@@ -138,7 +138,8 @@ class BoundRecord:
 @dataclass
 class MineStats:
     db_size: int = 0
-    wam: float = 0.0
+    # The database's WAM sums; ``init_mining`` seeds its state from them.
+    wam_acc: WamAccumulator = field(default_factory=WamAccumulator)
     min_wes: float = 0.0
     candidates: int = 0
     false_positives: int = 0
@@ -146,16 +147,22 @@ class MineStats:
     grow_ms: float = 0.0
     verify_ms: float = 0.0
 
+    @property
+    def wam(self) -> float:
+        return self.wam_acc.wam
 
-def preprocess(db: UncertainDatabase, weights: WeightTable) -> tuple[PreprocessedDB, float]:
-    """Suffix-max probability rewrite plus the weighted mean of item weights.
 
-    The mean is ``WamAccumulator``'s frequency-weighted mean over the
-    database and feeds the support threshold.
+def preprocess(
+    db: UncertainDatabase, weights: WeightTable
+) -> tuple[PreprocessedDB, WamAccumulator]:
+    """Suffix-max probability rewrite plus the database's WAM sums.
+
+    The accumulator's frequency-weighted mean of item weights feeds the
+    support threshold.
     """
     acc = WamAccumulator()
     acc.add(db, weights)
-    return PreprocessedDB(tuple(_index_sequence(seq) for seq in db.sequences)), acc.wam
+    return PreprocessedDB(tuple(_index_sequence(seq) for seq in db.sequences)), acc
 
 
 def _index_sequence(seq: USequence) -> PSequence:
@@ -312,9 +319,8 @@ def mine_trie(
         raise MiningError(f"unknown bound {bound!r}")
     stats = MineStats(db_size=db.size)
     t0 = time.perf_counter()
-    pdb, wam = preprocess(db, weights)
-    stats.wam = wam
-    min_wes = Thresholds.compute(min_sup, db.size, wam, wgt_fct, 1.0).min_wes
+    pdb, stats.wam_acc = preprocess(db, weights)
+    min_wes = Thresholds.compute(min_sup, db.size, stats.wam, wgt_fct, 1.0).min_wes
     stats.min_wes = min_wes
     trie = USeqTrie()
     if pdb.sequences:
@@ -327,7 +333,7 @@ def mine_trie(
         growth.grow(root, first)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
-    trie.reset_wes()
+    # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
     sup_calc(trie, db, weights)
     stats.false_positives = trie.prune_below(min_wes)
     stats.survivors = stats.candidates - stats.false_positives
@@ -379,7 +385,7 @@ class _Growth:
                 self.trace.append(BoundRecord(pat, cand.kind, cap, top, wgt_cap, generated))
             if not generated:
                 continue
-            self.trie.insert(pat, est)
+            self.trie.insert(pat)
             self.stats.candidates += 1
             w = weight(cand.item)
             yield cand, pat, maxpr * cand.prob_max, mxw if mxw > w else w

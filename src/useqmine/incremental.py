@@ -57,14 +57,12 @@ def init_mining(
     """Mine the initial database at the buffered threshold and seed the state."""
     if db.size == 0:
         raise MiningError("initial database is empty")
-    seq_trie, _ = mine_trie(db, weights, params.min_sup * params.mu, params.wgt_fct)
-    acc = WamAccumulator()
-    acc.add(db, weights)
+    seq_trie, stats = mine_trie(db, weights, params.min_sup * params.mu, params.wgt_fct)
     return IncrementalState(
         seq_trie=seq_trie,
         pfs_trie=USeqTrie(),
         db_size=db.size,
-        wam_acc=acc,
+        wam_acc=stats.wam_acc,
         params=params,
         weights=weights,
     )

@@ -79,14 +79,13 @@ class Event:
 
 @dataclass(frozen=True)
 class USequence:
-    """An uncertain sequence: ordered events, 1-based id within its database."""
+    """An uncertain sequence: ordered events."""
 
-    id: int
     events: tuple[Event, ...]
 
     def __post_init__(self):
         if not self.events:
-            raise MiningError(f"sequence {self.id} has no events")
+            raise MiningError("sequence has no events")
 
     @property
     def length(self) -> int:
@@ -115,11 +114,6 @@ def item_index(seq: USequence) -> dict[ItemId, list[tuple[int, float]]]:
 class UncertainDatabase:
     sequences: tuple[USequence, ...]
 
-    def __post_init__(self):
-        for pos, seq in enumerate(self.sequences, start=1):
-            if seq.id != pos:
-                raise MiningError(f"sequence id {seq.id} at position {pos}; ids must be 1..size")
-
     @property
     def size(self) -> int:
         return len(self.sequences)
@@ -141,12 +135,8 @@ class UncertainDatabase:
 
     @staticmethod
     def concat(parts: list["UncertainDatabase"]) -> "UncertainDatabase":
-        """Append databases in order, renumbering sequence ids from 1."""
-        seqs: list[USequence] = []
-        for part in parts:
-            for seq in part.sequences:
-                seqs.append(USequence(id=len(seqs) + 1, events=seq.events))
-        return UncertainDatabase(tuple(seqs))
+        """Append databases in order."""
+        return UncertainDatabase(tuple(seq for part in parts for seq in part.sequences))
 
 
 @dataclass(frozen=True)

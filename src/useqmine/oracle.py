@@ -61,7 +61,8 @@ def oracle_max_pr_s(pattern: Pattern, seq: USequence) -> float:
                 counter += 1
                 if counter > MAX_EMBEDDINGS:
                     raise OracleSizeError(
-                        f"embedding enumeration exceeded {MAX_EMBEDDINGS} for sequence {seq.id}"
+                        f"embedding enumeration exceeded {MAX_EMBEDDINGS} "
+                        f"in a sequence of {n} events"
                     )
                 v = rec(k + 1, idx + 1, prod * p)
                 if v > best:
@@ -110,10 +111,10 @@ def oracle_wes(pattern: Pattern, db: UncertainDatabase, weights: WeightTable) ->
 def _check_guard(db: UncertainDatabase) -> None:
     if db.size > MAX_SEQUENCES:
         raise OracleSizeError(f"{db.size} sequences exceeds oracle guard of {MAX_SEQUENCES}")
-    for seq in db.sequences:
+    for pos, seq in enumerate(db.sequences, start=1):
         if len(seq.events) > MAX_EVENTS:
             raise OracleSizeError(
-                f"sequence {seq.id} has {len(seq.events)} events, guard is {MAX_EVENTS}"
+                f"sequence {pos} has {len(seq.events)} events, guard is {MAX_EVENTS}"
             )
     alpha = db.alphabet()
     if len(alpha) > MAX_ALPHABET:

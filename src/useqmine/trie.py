@@ -7,9 +7,16 @@ every sequence's contribution to every stored pattern in a single scan.
 Nodes that are only prefixes of stored patterns are kept unmarked: pruning can
 leave sets that are not prefix-closed (a super-pattern may stay frequent while
 its prefix drops out), so end markers are load-bearing, not decorative.
+
+The walks over stored patterns (``patterns``, ``snapshot``, ``node_count``
+and ``prune_below``) all read one preorder, I-edges before S-edges. No walk
+recurses: the preorder and ``sup_calc`` keep their pending nodes on explicit
+stacks, so a pattern may be longer than Python's recursion limit.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .model import (
     EPS,
@@ -34,10 +41,6 @@ class TrieNode:
         self.wes = 0.0
         self.is_pattern = False
         self.children: dict[tuple[str, str], TrieNode] = {}
-
-    def sorted_children(self) -> list["TrieNode"]:
-        # ("I", x) sorts before ("S", y), then by item: deterministic walks.
-        return [self.children[k] for k in sorted(self.children)]
 
 
 def _edges(pattern: Pattern) -> list[tuple[ExtKind, ItemId]]:
@@ -113,19 +116,31 @@ class USeqTrie:
                 break
             del path[i - 1].children[(node.kind, node.item)]
 
+    def _preorder(self) -> Iterator[tuple[int, TrieNode, TrieNode]]:
+        """Yield ``(depth, parent, node)`` for every node below the root in
+        preorder; the root's children are at depth 1. Children go by edge
+        key, so ``("I", x)`` comes before ``("S", y)``, then by item.
+
+        Pending nodes wait on an explicit stack, so a long pattern cannot hit
+        Python's recursion limit.
+        """
+        stack = [(0, self.root, self.root)]
+        while stack:
+            depth, parent, node = stack.pop()
+            if node.children:
+                children = sorted(node.children.items(), reverse=True)
+                stack.extend((depth + 1, node, child) for _, child in children)
+            if depth:
+                yield depth, parent, node
+
     def patterns(self):
         """Yield (Pattern, wes) in depth-first order, I-edges before S-edges."""
         path: list[TrieNode] = []
-
-        def rec(node: TrieNode):
-            for child in node.sorted_children():
-                path.append(child)
-                if child.is_pattern:
-                    yield _pattern_of(path), child.wes
-                yield from rec(child)
-                path.pop()
-
-        yield from rec(self.root)
+        for depth, _, node in self._preorder():
+            del path[depth - 1 :]
+            path.append(node)
+            if node.is_pattern:
+                yield _pattern_of(path), node.wes
 
     def collect(self, min_wes: float) -> list[ScoredPattern]:
         return [
@@ -133,54 +148,35 @@ class USeqTrie:
         ]
 
     def prune_below(self, min_wes: float) -> int:
-        """Drop every stored pattern with wes < min_wes - EPS; returns count."""
+        """Drop every stored pattern with wes < min_wes - EPS; returns count.
+
+        Reversed preorder reaches every node after all of its descendants, so
+        a prefix left childless and unmarked goes in the same pass.
+        """
         removed = 0
-
-        def rec(node: TrieNode) -> None:
-            nonlocal removed
-            for key in list(node.children):
-                child = node.children[key]
-                rec(child)
-                if child.is_pattern and child.wes < min_wes - EPS:
-                    child.is_pattern = False
-                    child.wes = 0.0
-                    removed += 1
-                if not child.children and not child.is_pattern:
-                    del node.children[key]
-
-        rec(self.root)
+        for _, parent, node in reversed(list(self._preorder())):
+            if node.is_pattern and node.wes < min_wes - EPS:
+                node.is_pattern = False
+                node.wes = 0.0
+                removed += 1
+            if not node.children and not node.is_pattern:
+                del parent.children[(node.kind, node.item)]
         self.pattern_count -= removed
         return removed
 
-    def reset_wes(self) -> None:
-        def rec(node: TrieNode):
-            node.wes = 0.0
-            for child in node.children.values():
-                rec(child)
-
-        rec(self.root)
-
     @property
     def node_count(self) -> int:
-        def rec(node: TrieNode) -> int:
-            return sum(1 + rec(c) for c in node.children.values())
-
-        return rec(self.root)
+        return sum(1 for _ in self._preorder())
 
     # -- snapshot serialization ------------------------------------------------
     # One node per preorder line: "<depth> <kind> <item> <wes>". Unmarked
     # prefix nodes write "-" in the wes column.
 
     def snapshot(self) -> str:
-        lines: list[str] = []
-
-        def rec(node: TrieNode, depth: int):
-            for child in node.sorted_children():
-                wes = repr(child.wes) if child.is_pattern else "-"
-                lines.append(f"{depth} {child.kind} {child.item} {wes}")
-                rec(child, depth + 1)
-
-        rec(self.root, 1)
+        lines = [
+            f"{depth} {node.kind} {node.item} {repr(node.wes) if node.is_pattern else '-'}"
+            for depth, _, node in self._preorder()
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
@@ -230,52 +226,46 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     The sequence is read through ``item_index``: a child whose item the
     sequence lacks is skipped with one dict miss, together with its whole
     subtree, and a matched child touches only the positions where its item
-    occurs. Visit order cannot change any node's sum, so children are visited
-    unsorted.
+    occurs. The walk keeps its frames on an explicit stack, so a long pattern
+    cannot hit Python's recursion limit. Each node gets one addition per
+    sequence, in sequence order, so visit order cannot change any node's sum,
+    and children are visited unsorted.
     """
     for seq in db_part.sequences:
+        index = item_index(seq)
         # Virtual empty prefix: embeddable before any event.
         ones = [1.0] * len(seq.events)
-        _scan(trie.root, ones, ones, 0.0, 0, item_index(seq), weights)
-
-
-def _scan(
-    node: TrieNode,
-    ar: list[float],
-    before_max: list[float],
-    wgt_sum: float,
-    itm_cnt: int,
-    index: dict[ItemId, list[tuple[int, float]]],
-    weights: WeightTable,
-) -> None:
-    for (kind, item), child in node.children.items():
-        occ = index.get(item)
-        if occ is None:
-            continue
-        src = before_max if kind == "S" else ar
-        grow = bool(child.children)
-        cur: list[float] | None = None
-        best = 0.0
-        for k, p in occ:
-            b = src[k]
-            if b > 0.0:
-                v = p * b
-                if v > best:
-                    best = v
-                if grow:
-                    if cur is None:
-                        cur = [0.0] * len(src)
-                    cur[k] = v
-        if best > 0.0:
-            cw = wgt_sum + weights.weight(item)
-            cc = itm_cnt + 1
-            if child.is_pattern:
-                child.wes += best * (cw / cc)
-            if cur is not None:
-                cbm = [0.0] * len(cur)
-                run = 0.0
-                for k in range(len(cur)):
-                    cbm[k] = run
-                    if cur[k] > run:
-                        run = cur[k]
-                _scan(child, cur, cbm, cw, cc, index, weights)
+        stack = [(trie.root, ones, ones, 0.0, 0)]
+        while stack:
+            node, ar, before_max, wgt_sum, itm_cnt = stack.pop()
+            for (kind, item), child in node.children.items():
+                occ = index.get(item)
+                if occ is None:
+                    continue
+                src = before_max if kind == "S" else ar
+                grow = bool(child.children)
+                cur: list[float] | None = None
+                best = 0.0
+                for k, p in occ:
+                    b = src[k]
+                    if b > 0.0:
+                        v = p * b
+                        if v > best:
+                            best = v
+                        if grow:
+                            if cur is None:
+                                cur = [0.0] * len(src)
+                            cur[k] = v
+                if best > 0.0:
+                    cw = wgt_sum + weights.weight(item)
+                    cc = itm_cnt + 1
+                    if child.is_pattern:
+                        child.wes += best * (cw / cc)
+                    if cur is not None:
+                        cbm = [0.0] * len(cur)
+                        run = 0.0
+                        for k in range(len(cur)):
+                            cbm[k] = run
+                            if cur[k] > run:
+                                run = cur[k]
+                        stack.append((child, cur, cbm, cw, cc))

@@ -84,7 +84,7 @@ def random_db(rng: random.Random, max_seqs=12, max_events=6, alphabet=5, min_seq
     items = "abcdefgh"[:alphabet]
     n = rng.randint(min_seqs, max_seqs)
     seqs = []
-    for i in range(n):
+    for _ in range(n):
         evs = []
         for _ in range(rng.randint(1, max_events)):
             k = rng.randint(1, min(3, alphabet))
@@ -92,7 +92,7 @@ def random_db(rng: random.Random, max_seqs=12, max_events=6, alphabet=5, min_seq
             evs.append(
                 Event(tuple(ProbItem(it, round(rng.uniform(0.05, 0.95), 3)) for it in chosen))
             )
-        seqs.append(USequence(id=i + 1, events=tuple(evs)))
+        seqs.append(USequence(tuple(evs)))
     return UncertainDatabase(tuple(seqs))
 
 

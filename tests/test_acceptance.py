@@ -186,7 +186,8 @@ def test_criterion_2_golden_incremental(golden):
 
 def test_criterion_3_spot_quantities(golden):
     db, wt = golden["db"], golden["weights"]
-    pdb, wam = preprocess(db, wt)
+    pdb, acc = preprocess(db, wt)
+    wam = acc.wam
     trace = []
     mine_trie(db, wt, 0.2 * 0.7, 1.0, trace=trace)
     caps = {(r.pattern, r.kind): r.exp_sup_cap for r in trace}
@@ -430,12 +431,12 @@ def test_criterion_9_supcalc_scaling():
     rng = random.Random(909)
     alpha = "abcde"
     seqs = []
-    for i in range(150):
+    for _ in range(150):
         evs = [
             Event(tuple(ProbItem(it, round(rng.uniform(0.3, 0.9), 3)) for it in alpha))
             for _ in range(8)
         ]
-        seqs.append(USequence(id=i + 1, events=tuple(evs)))
+        seqs.append(USequence(tuple(evs)))
     db = UncertainDatabase(tuple(seqs))
     wt = WeightTable({it: 0.8 for it in alpha})
 
@@ -459,7 +460,6 @@ def test_criterion_9_supcalc_scaling():
             trie.insert(next(it), 0.0)
         best = None
         for _ in range(3):
-            trie.reset_wes()
             t0 = time.perf_counter()
             sup_calc(trie, db, wt)
             dt = time.perf_counter() - t0

@@ -180,6 +180,31 @@ class TestInc:
         assert "different weight table" in err
         assert "Traceback" not in err
 
+    def test_init_with_existing_checkpoint_refused(self, files, tmp_path, capsys):
+        ck = str(tmp_path / "state.ck")
+        flags = ["--weights", files["w"], "--algo", "uwsinc+", "--min-sup", "0.2",
+                 "--mu", "0.7", "--wgt-fct", "1.0", "--checkpoint", ck]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"], *flags,
+                     "--out-dir", str(tmp_path / "run1")]) == 0
+        before = open(ck).read()
+        capsys.readouterr()
+        out2 = tmp_path / "run2"
+        assert main(["inc", "--init", files["db"], "--delta", files["d2"], *flags,
+                     "--out-dir", str(out2)]) == 2
+        assert "drop --init" in capsys.readouterr().err
+        assert open(ck).read() == before
+        assert not out2.exists()
+
+    def test_baseline_with_checkpoint_refused(self, files, tmp_path, capsys):
+        ck = tmp_path / "state.ck"
+        out = tmp_path / "base"
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"],
+                     "--weights", files["w"], "--algo", "baseline", "--min-sup", "0.2",
+                     "--mu", "0.7", "--wgt-fct", "1.0", "--out-dir", str(out),
+                     "--checkpoint", str(ck)]) == 2
+        assert "--checkpoint does not apply" in capsys.readouterr().err
+        assert not ck.exists() and not out.exists()
+
     def test_missing_init_without_checkpoint(self, files, tmp_path):
         assert main(["inc", "--delta", files["d1"], "--weights", files["w"],
                      "--algo", "uwsinc", "--min-sup", "0.2", "--mu", "0.7",

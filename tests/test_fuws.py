@@ -29,7 +29,7 @@ from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
 class TestPreprocess:
     def test_wam_of_worked_example(self, sample_db, sample_weights):
-        _, wam = preprocess(sample_db, sample_weights)
+        wam = preprocess(sample_db, sample_weights)[1].wam
         assert wam == pytest.approx(27.2 / 31)
         assert wam == pytest.approx(0.88, abs=0.005)
 
@@ -72,7 +72,7 @@ class TestPreprocess:
         acc = WamAccumulator()
         acc.add(db, wt)
         assert acc.wam != (0.3 + 0.7 + 0.3) / 3
-        assert preprocess(db, wt)[1] == acc.wam
+        assert preprocess(db, wt)[1].wam == acc.wam
 
 
 def max_weight(cands, weights):
@@ -211,8 +211,8 @@ def _grows_from(desc, anc):
 def unpruned_trace(db, wt, min_sup, bound):
     """Reference growth: every level bounds every item of the full index, and
     wgt_cap is the largest weight over all of the level's candidates."""
-    pdb, wam = preprocess(db, wt)
-    min_wes = Thresholds.compute(min_sup, db.size, wam, 1.0, 1.0).min_wes
+    pdb, acc = preprocess(db, wt)
+    min_wes = Thresholds.compute(min_sup, db.size, acc.wam, 1.0, 1.0).min_wes
     records = []
 
     def grow(proj, prefix, maxpr, mxw):

@@ -238,6 +238,21 @@ class TestWam:
         scratch = sum(n * sample_weights.weight(it) for it, n in freq.items()) / sum(freq.values())
         assert got == pytest.approx(scratch, abs=1e-9)
 
+    def test_init_counts_the_database_once(self, sample_db, sample_weights, monkeypatch):
+        calls = []
+        counted = UncertainDatabase.item_frequencies
+
+        def counting(db):
+            calls.append(db)
+            return counted(db)
+
+        monkeypatch.setattr(UncertainDatabase, "item_frequencies", counting)
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        assert calls == [sample_db]
+        acc = WamAccumulator()
+        acc.add(sample_db, sample_weights)
+        assert state.wam_acc == acc
+
 
 class TestProperties:
     def test_since_init_patterns_match_oracle(self, sample_db, sample_weights, delta1, delta2):

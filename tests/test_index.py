@@ -40,13 +40,13 @@ def itemsets(items, min_size=1):
 def databases(draw, max_events=6, last_min_size=1):
     # A small alphabet and up to six events make repeated items across events common.
     seqs = []
-    for sid in range(1, draw(st.integers(1, 5)) + 1):
+    for _ in range(draw(st.integers(1, 5))):
         sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
         events = tuple(
             Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(DB_ITEMS, size))))
             for size in sizes
         )
-        seqs.append(USequence(id=sid, events=events))
+        seqs.append(USequence(events))
     return UncertainDatabase(tuple(seqs))
 
 

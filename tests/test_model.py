@@ -108,12 +108,7 @@ class TestValidation:
         with pytest.raises(MiningError):
             Event(())
         with pytest.raises(MiningError):
-            USequence(id=1, events=())
-
-    def test_database_ids_sequential(self):
-        ev = Event((ProbItem("a", 0.5),))
-        with pytest.raises(MiningError):
-            UncertainDatabase((USequence(id=2, events=(ev,)),))
+            USequence(events=())
 
     def test_weight_range(self):
         with pytest.raises(MiningError):
@@ -159,4 +154,4 @@ def test_database_helpers(sample_db):
     assert freq == {"a": 14, "b": 8, "c": 5, "d": 3, "g": 1}
     both = UncertainDatabase.concat([sample_db, sample_db])
     assert both.size == 12
-    assert [s.id for s in both.sequences] == list(range(1, 13))
+    assert both.sequences == sample_db.sequences * 2

@@ -92,12 +92,7 @@ class TestOracleMine:
         rng = random.Random(8)
         db = random_db(rng, max_seqs=6, max_events=4)
         wt = random_weights(rng)
-        rev = UncertainDatabase(
-            tuple(
-                USequence(id=i + 1, events=s.events)
-                for i, s in enumerate(reversed(db.sequences))
-            )
-        )
+        rev = UncertainDatabase(tuple(reversed(db.sequences)))
         a = patterns_by_key(oracle_mine(db, wt, 0.4))
         b = patterns_by_key(oracle_mine(rev, wt, 0.4))
         assert set(a) == set(b)
@@ -106,15 +101,13 @@ class TestOracleMine:
 
     def test_size_guards(self):
         ev = Event((ProbItem("a", 0.5),))
-        big = UncertainDatabase(
-            tuple(USequence(id=i + 1, events=(ev,)) for i in range(21))
-        )
+        big = UncertainDatabase((USequence((ev,)),) * 21)
         with pytest.raises(OracleSizeError):
             oracle_mine(big, WeightTable({"a": 1.0}), 1.0)
-        long = UncertainDatabase((USequence(id=1, events=(ev,) * 9),))
-        with pytest.raises(OracleSizeError):
+        long = UncertainDatabase((USequence((ev,)), USequence((ev,) * 9)))
+        with pytest.raises(OracleSizeError, match="sequence 2 has 9 events"):
             oracle_mine(long, WeightTable({"a": 1.0}), 1.0)
         wide_ev = Event(tuple(ProbItem(chr(97 + i), 0.5) for i in range(9)))
-        wide = UncertainDatabase((USequence(id=1, events=(wide_ev,)),))
+        wide = UncertainDatabase((USequence((wide_ev,)),))
         with pytest.raises(OracleSizeError):
             oracle_mine(wide, WeightTable({chr(97 + i): 1.0 for i in range(9)}), 1.0)

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from useqmine import (
+    Pattern,
     UncertainDatabase,
     USeqTrie,
     WeightTable,
+    meets,
     oracle_wes,
     sup_calc,
 )
@@ -141,17 +145,6 @@ class TestSupCalc:
         assert trie.prune_below(float("inf")) == 6
         assert trie.node_count == 0
 
-    def test_reset_wes(self, tmp_path):
-        db = self.walkthrough_db(tmp_path)
-        trie = USeqTrie()
-        trie.insert(P("(a)"), 3.0)
-        trie.reset_wes()
-        assert trie.get_wes(P("(a)")) == 0.0
-        trie.reset_wes()
-        assert trie.get_wes(P("(a)")) == 0.0
-        sup_calc(trie, db, self.WT)
-        assert trie.get_wes(P("(a)")) == pytest.approx(0.72)
-
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(41)
         for _ in range(25):
@@ -220,3 +213,61 @@ class TestSnapshot:
             USeqTrie.from_snapshot("1 S a\n")
         with pytest.raises(Exception):
             USeqTrie.from_snapshot("1 I a 0.5\n")
+
+
+ITEMSETS = st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True).map(
+    lambda xs: tuple(sorted(xs))
+)
+PATTERNS = st.lists(ITEMSETS, min_size=1, max_size=4).map(lambda evs: Pattern(tuple(evs)))
+# Quarter steps make equal values, and threshold ties, common.
+WES = st.integers(0, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def tries(draw):
+    trie = USeqTrie()
+    stored = draw(st.lists(st.tuples(PATTERNS, WES), max_size=25))
+    for pat, wes in stored:
+        trie.insert(pat, wes)
+    # Removing patterns leaves unmarked prefix nodes between marked ones.
+    for pat, _ in stored:
+        if pat in trie and draw(st.booleans()):
+            trie.remove(pat)
+    return trie
+
+
+def nodes_of(trie):
+    out, stack = [], [trie.root]
+    while stack:
+        for child in stack.pop().children.values():
+            out.append(child)
+            stack.append(child)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(trie=tries())
+def test_snapshot_round_trip_keeps_patterns_and_nodes(trie):
+    text = trie.snapshot()
+    back = USeqTrie.from_snapshot(text)
+    assert back.snapshot() == text
+    assert list(back.patterns()) == list(trie.patterns())
+    assert back.node_count == trie.node_count == len(nodes_of(trie))
+    assert back.pattern_count == trie.pattern_count == len(list(trie.patterns()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trie=tries(),
+    min_wes=st.builds(lambda w, d: w + d, WES, st.sampled_from([-2e-9, 0.0, 5e-10, 2e-9])),
+)
+def test_prune_below_keeps_exactly_the_patterns_that_meet(trie, min_wes):
+    before = dict(trie.patterns())
+    removed = trie.prune_below(min_wes)
+    after = dict(trie.patterns())
+    assert after == {pat: wes for pat, wes in before.items() if meets(wes, min_wes)}
+    assert removed == len(before) - len(after)
+    assert trie.pattern_count == len(after)
+    nodes = nodes_of(trie)
+    assert all(node.children or node.is_pattern for node in nodes)
+    assert trie.node_count == len(nodes)
