@@ -29,7 +29,6 @@ from .fuws import (
     PreprocessedDB,
     ProjectedDB,
     determine,
-    exp_support_top,
     fuws,
     mine_trie,
     pattern_max_pr,
@@ -41,7 +40,6 @@ from .incremental import (
     IncrementalState,
     init_mining,
     load_state,
-    local_threshold,
     save_state,
     uwsinc_step,
     uwsincplus_step,

@@ -64,10 +64,13 @@ class UsageError(Exception):
     pass
 
 
-def _positive_fraction(name: str, value: float, upper: float = 1.0) -> float:
-    if not 0.0 < value <= upper:
-        raise UsageError(f"{name} must be in (0, {upper}]: {value}")
-    return value
+def _from_flags(cls, **fields):
+    """Build ``cls`` (``MiningParams``, ``GenConfig``) from flag values; a value
+    it rejects is a usage error."""
+    try:
+        return cls(**fields)
+    except MiningError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _db_stats(db: UncertainDatabase) -> tuple[int, int, float]:
@@ -92,14 +95,11 @@ def _emit_patterns(patterns: list[ScoredPattern], out: str | None, fmt: str) -> 
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    _positive_fraction("--min-sup", args.min_sup)
-    _positive_fraction("--mu", args.mu)
-    if args.wgt_fct <= 0:
-        raise UsageError(f"--wgt-fct must be positive: {args.wgt_fct}")
+    p = _from_flags(MiningParams, min_sup=args.min_sup, wgt_fct=args.wgt_fct, mu=args.mu)
     t0 = time.perf_counter()
     db = dataio.parse_uncertain_db(args.db)
     weights = dataio.parse_weights(args.weights)
-    trie, stats = mine_trie(db, weights, args.min_sup * args.mu, args.wgt_fct)
+    trie, stats = mine_trie(db, weights, p.min_sup * p.mu, p.wgt_fct)
     patterns = trie.collect(stats.min_wes)
     total_ms = (time.perf_counter() - t0) * 1000.0
     _emit_patterns(patterns, args.out, args.format)
@@ -111,9 +111,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
                 "command": "mine",
                 "db": args.db,
                 "weights": args.weights,
-                "min_sup": args.min_sup,
-                "wgt_fct": args.wgt_fct,
-                "mu": args.mu,
+                "min_sup": p.min_sup,
+                "wgt_fct": p.wgt_fct,
+                "mu": p.mu,
                 "db_size": size,
                 "distinct_items": distinct,
                 "avg_length": f"{avg:.3f}",
@@ -129,15 +129,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _positive_fraction("--min-sup", args.min_sup)
-    _positive_fraction("--mu", args.mu)
-    if args.wgt_fct <= 0:
-        raise UsageError(f"--wgt-fct must be positive: {args.wgt_fct}")
+    p = _from_flags(MiningParams, min_sup=args.min_sup, wgt_fct=args.wgt_fct, mu=args.mu)
     db = dataio.parse_uncertain_db(args.db)
     weights = dataio.parse_weights(args.weights)
     acc = WamAccumulator()
     acc.add(db, weights)
-    th = Thresholds.compute(args.min_sup * args.mu, db.size, acc.wam, args.wgt_fct, 1.0)
+    th = Thresholds.compute(p.min_sup * p.mu, db.size, acc.wam, p.wgt_fct, 1.0)
     patterns = oracle_mine(db, weights, th.min_wes)
     _emit_patterns(patterns, args.out, args.format)
     return 0
@@ -151,12 +148,10 @@ def _read_baseline_sets(baseline_dir: str, step: int) -> set | None:
 
 
 def cmd_inc(args: argparse.Namespace) -> int:
-    _positive_fraction("--min-sup", args.min_sup)
-    _positive_fraction("--mu", args.mu)
-    if args.wgt_fct <= 0:
-        raise UsageError(f"--wgt-fct must be positive: {args.wgt_fct}")
-    if args.lwes_factor <= 0:
-        raise UsageError(f"--lwes-factor must be positive: {args.lwes_factor}")
+    params = _from_flags(
+        MiningParams,
+        min_sup=args.min_sup, wgt_fct=args.wgt_fct, mu=args.mu, lwes_factor=args.lwes_factor,
+    )
     if args.algo == "baseline":
         if args.checkpoint:
             raise UsageError("--algo baseline keeps no state; --checkpoint does not apply")
@@ -174,9 +169,6 @@ def cmd_inc(args: argparse.Namespace) -> int:
     deltas = [dataio.parse_uncertain_db(p) for p in args.delta]
     os.makedirs(args.out_dir, exist_ok=True)
     rows: list[dict] = []
-    params = MiningParams(
-        min_sup=args.min_sup, wgt_fct=args.wgt_fct, mu=args.mu, lwes_factor=args.lwes_factor
-    )
 
     def record(step: int, delta_path: str, delta_size: int, db_size: int, wam: float,
                min_wes: float, fs: list[ScoredPattern], ms: float) -> None:
@@ -211,7 +203,7 @@ def cmd_inc(args: argparse.Namespace) -> int:
             parts.append(part)
             t0 = time.perf_counter()
             whole = UncertainDatabase.concat(parts)
-            trie, stats = mine_trie(whole, weights, args.min_sup, args.wgt_fct)
+            trie, stats = mine_trie(whole, weights, params.min_sup, params.wgt_fct)
             fs = trie.collect(stats.min_wes)
             record(k, path, part.size, whole.size, stats.wam, stats.min_wes, fs,
                    (time.perf_counter() - t0) * 1e3)
@@ -250,16 +242,14 @@ def cmd_inc(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        cfg = dataio.GenConfig(
-            seed=args.seed,
-            prob_mean=args.prob_mean,
-            prob_std=args.prob_std,
-            weight_mean=args.weight_mean,
-            weight_std=args.weight_std,
-        )
-    except MiningError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _from_flags(
+        dataio.GenConfig,
+        seed=args.seed,
+        prob_mean=args.prob_mean,
+        prob_std=args.prob_std,
+        weight_mean=args.weight_mean,
+        weight_std=args.weight_std,
+    )
     db, weights = dataio.gen_uncertain(args.infile, cfg, args.format)
     dataio.write_uncertain_db(args.out_db, db)
     dataio.write_weights(args.out_weights, weights)
@@ -273,20 +263,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --min-sup-list: {exc}") from None
     if not thresholds:
         raise UsageError("--min-sup-list is empty")
-    for t in thresholds:
-        _positive_fraction("--min-sup-list entry", t)
+    runs = [_from_flags(MiningParams, min_sup=t, wgt_fct=args.wgt_fct) for t in thresholds]
     if args.repeat < 1:
         raise UsageError(f"--repeat must be >= 1: {args.repeat}")
     bounds = ["cap", "top"] if args.bound == "both" else [args.bound]
     db = dataio.parse_uncertain_db(args.db)
     weights = dataio.parse_weights(args.weights)
     rows = []
-    for min_sup in thresholds:
+    for p in runs:
         for bound in bounds:
             best_ms = None
             for _ in range(args.repeat):
                 t0 = time.perf_counter()
-                _, stats = mine_trie(db, weights, min_sup, args.wgt_fct, bound=bound)
+                _, stats = mine_trie(db, weights, p.min_sup, p.wgt_fct, bound=bound)
                 ms = (time.perf_counter() - t0) * 1000.0
                 best_ms = ms if best_ms is None or ms < best_ms else best_ms
             false_pct = (
@@ -295,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "bound": bound,
-                    "min_sup": min_sup,
+                    "min_sup": p.min_sup,
                     "candidates": stats.candidates,
                     "frequent": stats.survivors,
                     "false_pct": f"{false_pct:.3f}",

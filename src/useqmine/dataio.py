@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .model import (
@@ -31,6 +32,7 @@ from .model import (
     USequence,
     WeightTable,
     check_item_token,
+    check_positive,
 )
 
 
@@ -39,6 +41,25 @@ class ParseError(MiningError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
+
+
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file with its 1-based number.
+
+    The one reader of the package's input files. A byte that is not UTF-8
+    raises ``ParseError`` naming its line; other lines read as in text mode.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
+                    raise ParseError(
+                        path, lineno, f"byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+                    ) from None
+            yield lineno, line
 
 
 # -- pinned pseudo-random generator -----------------------------------------
@@ -102,10 +123,8 @@ class GenConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise MiningError(f"{name} out of (0, 1): {v}")
-        for name in ("prob_std", "weight_std"):
-            v = getattr(self, name)
-            if v <= 0.0:
-                raise MiningError(f"{name} must be positive: {v}")
+        check_positive("prob_std", self.prob_std)
+        check_positive("weight_std", self.weight_std)
 
 
 @dataclass(frozen=True)
@@ -123,17 +142,17 @@ class SplitSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.initial_fraction <= 1.0:
-            raise MiningError(f"initial_fraction out of (0, 1]: {self.initial_fraction}")
+        check_positive("initial_fraction", self.initial_fraction, 1.0)
         ranged = self.ratio_range is not None
         listed = self.increment_fractions is not None
         if ranged and listed:
             raise MiningError("give increment_fractions or ratio_range, not both")
-        if listed and any(f <= 0.0 for f in self.increment_fractions):
-            raise MiningError("increment fractions must be positive")
+        if listed:
+            for f in self.increment_fractions:
+                check_positive("increment fraction", f)
         if ranged:
             lo, hi = self.ratio_range
-            if not 0.0 < lo <= hi:
+            if not 0.0 < lo <= hi < math.inf:
                 raise MiningError(f"bad ratio range: {self.ratio_range}")
             if self.count is None or self.count < 1:
                 raise MiningError("ratio_range needs a positive count")
@@ -182,13 +201,12 @@ def _parse_sequence_tokens(tokens: list[str], path: str, lineno: int) -> tuple[E
 
 def parse_uncertain_db(path: str) -> UncertainDatabase:
     sequences: list[USequence] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            events = _parse_sequence_tokens(tokens, path, lineno)
-            sequences.append(USequence(events))
+    for lineno, line in _lines(path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        events = _parse_sequence_tokens(tokens, path, lineno)
+        sequences.append(USequence(events))
     return UncertainDatabase(tuple(sequences))
 
 
@@ -205,27 +223,26 @@ def write_uncertain_db(path: str, db: UncertainDatabase) -> None:
 
 def parse_weights(path: str) -> WeightTable:
     entries: dict[ItemId, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'item weight', got {line.strip()!r}")
-            item, w_s = parts
-            try:
-                check_item_token(item)
-            except MiningError as exc:
-                raise ParseError(path, lineno, str(exc)) from None
-            try:
-                w = float(w_s)
-            except ValueError:
-                raise ParseError(path, lineno, f"bad weight {w_s!r}") from None
-            if not 0.0 < w <= 1.0:
-                raise ParseError(path, lineno, f"weight out of (0, 1]: {w}")
-            if item in entries:
-                raise ParseError(path, lineno, f"duplicate weight for {item!r}")
-            entries[item] = w
+    for lineno, line in _lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'item weight', got {line.strip()!r}")
+        item, w_s = parts
+        try:
+            check_item_token(item)
+        except MiningError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
+        try:
+            w = float(w_s)
+        except ValueError:
+            raise ParseError(path, lineno, f"bad weight {w_s!r}") from None
+        if not 0.0 < w <= 1.0:
+            raise ParseError(path, lineno, f"weight out of (0, 1]: {w}")
+        if item in entries:
+            raise ParseError(path, lineno, f"duplicate weight for {item!r}")
+        entries[item] = w
     return WeightTable(entries)
 
 
@@ -243,45 +260,44 @@ def _read_spmf_structure(path: str, fmt: str) -> list[list[list[ItemId]]]:
     if fmt not in ("spmf-seq", "spmf-itemset"):
         raise MiningError(f"unknown input format {fmt!r}")
     out: list[list[list[ItemId]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
+    for lineno, line in _lines(path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if fmt == "spmf-itemset":
+            # One transaction per line; every item becomes its own event.
+            seen: list[ItemId] = []
+            for tok in tokens:
+                if tok in RESERVED_TOKENS:
+                    raise ParseError(path, lineno, f"separator {tok} in itemset input")
+                if tok not in seen:
+                    seen.append(tok)
+            if not seen:
+                raise ParseError(path, lineno, "empty transaction")
+            out.append([[it] for it in seen])
+            continue
+        if tokens[-1] != "-2":
+            raise ParseError(path, lineno, "sequence must end with -2")
+        events: list[list[ItemId]] = []
+        current: list[ItemId] = []
+        for tok in tokens[:-1]:
+            if tok == "-2":
+                raise ParseError(path, lineno, "-2 before end of line")
+            if tok == "-1":
+                if not current:
+                    raise ParseError(path, lineno, "empty event")
+                events.append(current)
+                current = []
                 continue
-            if fmt == "spmf-itemset":
-                # One transaction per line; every item becomes its own event.
-                seen: list[ItemId] = []
-                for tok in tokens:
-                    if tok in RESERVED_TOKENS:
-                        raise ParseError(path, lineno, f"separator {tok} in itemset input")
-                    if tok not in seen:
-                        seen.append(tok)
-                if not seen:
-                    raise ParseError(path, lineno, "empty transaction")
-                out.append([[it] for it in seen])
-                continue
-            if tokens[-1] != "-2":
-                raise ParseError(path, lineno, "sequence must end with -2")
-            events: list[list[ItemId]] = []
-            current: list[ItemId] = []
-            for tok in tokens[:-1]:
-                if tok == "-2":
-                    raise ParseError(path, lineno, "-2 before end of line")
-                if tok == "-1":
-                    if not current:
-                        raise ParseError(path, lineno, "empty event")
-                    events.append(current)
-                    current = []
-                    continue
-                if ":" in tok:
-                    raise ParseError(path, lineno, f"unexpected ':' in precise input {tok!r}")
-                if tok not in current:  # drop in-event repeats from noisy inputs
-                    current.append(tok)
-            if current:
-                raise ParseError(path, lineno, "event not closed with -1 before -2")
-            if not events:
-                raise ParseError(path, lineno, "sequence has no events")
-            out.append(events)
+            if ":" in tok:
+                raise ParseError(path, lineno, f"unexpected ':' in precise input {tok!r}")
+            if tok not in current:  # drop in-event repeats from noisy inputs
+                current.append(tok)
+        if current:
+            raise ParseError(path, lineno, "event not closed with -1 before -2")
+        if not events:
+            raise ParseError(path, lineno, "sequence has no events")
+        out.append(events)
     return out
 
 
@@ -383,13 +399,12 @@ def write_patterns(path: str, patterns: list[ScoredPattern], fmt: str = "tsv") -
 
 def read_patterns_tsv(path: str) -> list[ScoredPattern]:
     out: list[ScoredPattern] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                text, wes_s = line.rstrip("\n").split("\t")
-                out.append(ScoredPattern(parse_pattern(text), float(wes_s)))
-            except (ValueError, MiningError) as exc:
-                raise ParseError(path, lineno, f"bad pattern line: {exc}") from None
+    for lineno, line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            text, wes_s = line.rstrip("\n").split("\t")
+            out.append(ScoredPattern(parse_pattern(text), float(wes_s)))
+        except (ValueError, MiningError) as exc:
+            raise ParseError(path, lineno, f"bad pattern line: {exc}") from None
     return out

@@ -25,8 +25,10 @@ The bound for extending a prefix with item b is::
 
 est_sup never undershoots the true expected support of the extension or of
 any deeper pattern on that branch, and est_wgt never undershoots a deeper
-pattern's mean item weight, so pruning on ``est`` loses nothing. A looser
-classic bound (``exp_support_top``) is kept for benchmark comparison.
+pattern's mean item weight, so pruning on ``est`` loses nothing. The classic
+looser bound ``top`` puts ``maxpr * peak prob * projected support`` in place
+of ``est_sup``; ``mine_trie(bound="top")`` keeps it for benchmark comparison.
+Both bounds are computed in one place, ``_Growth.level``.
 
 After the root level, every item whose single-item pattern was not generated
 leaves the index (``prune_index``), as PrefixSpan drops infrequent items
@@ -62,6 +64,7 @@ from .model import (
     USequence,
     WamAccumulator,
     WeightTable,
+    check_positive,
     extend,
     item_index,
     meets,
@@ -292,16 +295,6 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     return ProjectedDB(tuple(out), item)
 
 
-def exp_support_top(
-    prefix_maxpr: float, item: ItemId, pdb: PreprocessedDB, proj: ProjectedDB, kind: ExtKind = "S"
-) -> float:
-    """Classic looser support bound: prefix maxpr x item's peak prob x support."""
-    for cand in determine(pdb, proj):
-        if cand.item == item and cand.kind == kind:
-            return prefix_maxpr * cand.prob_max * cand.seq_count
-    return 0.0
-
-
 def mine_trie(
     db: UncertainDatabase,
     weights: WeightTable,
@@ -313,8 +306,11 @@ def mine_trie(
     """Full pipeline. Returns the verified trie and run statistics.
 
     ``min_sup`` is the effective support fraction: callers wanting a
-    semi-frequent buffer pass min_sup * mu.
+    semi-frequent buffer pass min_sup * mu. It has no upper bound, because an
+    increment's local mine runs at lwes_factor * min_sup * mu.
     """
+    check_positive("min_sup", min_sup)
+    check_positive("wgt_fct", wgt_fct)
     if bound not in ("cap", "top"):
         raise MiningError(f"unknown bound {bound!r}")
     stats = MineStats(db_size=db.size)

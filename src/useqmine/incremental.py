@@ -94,18 +94,6 @@ def _local_min_sup(params: MiningParams) -> float:
     return params.lwes_factor * params.min_sup * params.mu
 
 
-def local_threshold(state: IncrementalState, delta: UncertainDatabase) -> float:
-    """Support threshold applied inside a single increment.
-
-    ``uwsincplus_step`` takes the same value from its local mine's
-    ``MineStats.min_wes``.
-    """
-    p = state.params
-    delta_acc = WamAccumulator()
-    delta_acc.add(delta, state.weights)
-    return Thresholds.compute(_local_min_sup(p), delta.size, delta_acc.wam, p.wgt_fct, 1.0).min_wes
-
-
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment, keeping the promising buffer; returns the frequent set."""
     _check_weights(delta, state.weights)
@@ -197,8 +185,11 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     Raises ``MiningError`` for another format version, for a state mined
     with other weights, and for a malformed file.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MiningError(f"checkpoint {path} is not UTF-8 text: {exc.reason}") from None
     if not lines:
         raise MiningError(f"empty checkpoint {path}")
     head = lines[0].split()

@@ -6,6 +6,7 @@ immutable after construction except the running ``WamAccumulator``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -36,6 +37,14 @@ class MissingWeightError(MiningError):
 def meets(value: float, threshold: float) -> bool:
     """Threshold check with absolute tolerance: value >= threshold - EPS."""
     return value >= threshold - EPS
+
+
+def check_positive(name: str, value: float, upper: float | None = None) -> None:
+    """The one check on a mining number: finite, above 0 and, when ``upper``
+    is given, at most ``upper``. nan fails every comparison, so it is rejected."""
+    if not 0.0 < value < math.inf or (upper is not None and value > upper):
+        limit = "inf)" if upper is None else f"{upper}]"
+        raise MiningError(f"{name} must be finite and in (0, {limit}: {value}")
 
 
 def check_item_token(token: str) -> str:
@@ -249,14 +258,10 @@ class MiningParams:
     lwes_factor: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.min_sup <= 1.0:
-            raise MiningError(f"min_sup out of (0, 1]: {self.min_sup}")
-        if self.wgt_fct <= 0.0:
-            raise MiningError(f"wgt_fct must be positive: {self.wgt_fct}")
-        if not 0.0 < self.mu <= 1.0:
-            raise MiningError(f"mu out of (0, 1]: {self.mu}")
-        if self.lwes_factor <= 0.0:
-            raise MiningError(f"lwes_factor must be positive: {self.lwes_factor}")
+        check_positive("min_sup", self.min_sup, 1.0)
+        check_positive("wgt_fct", self.wgt_fct)
+        check_positive("mu", self.mu, 1.0)
+        check_positive("lwes_factor", self.lwes_factor)
 
 
 @dataclass

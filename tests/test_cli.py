@@ -285,3 +285,76 @@ class TestBench:
         assert main(["bench", "--db", files["db"], "--weights", files["w"],
                      "--min-sup-list", "0.2,oops", "--out",
                      str(tmp_path / "b.csv")]) == 2
+
+
+class TestNumberFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("mine", "--wgt-fct", "nan"),
+            ("mine", "--wgt-fct", "inf"),
+            ("oracle", "--wgt-fct", "nan"),
+            ("oracle", "--wgt-fct", "inf"),
+            ("inc", "--lwes-factor", "nan"),
+            ("bench", "--wgt-fct", "-1"),
+            ("bench", "--wgt-fct", "nan"),
+            ("gen", "--prob-std", "nan"),
+        ],
+    )
+    def test_rejected_with_exit_2_before_any_output(self, files, tmp_path, capsys,
+                                                     command, flag, value):
+        out = tmp_path / "out"
+        precise = tmp_path / "precise.txt"
+        precise.write_text("1 -1 2 -1 -2\n")
+        base = {
+            "mine": {"--db": files["db"], "--weights": files["w"], "--min-sup": "0.2",
+                     "--wgt-fct": "1.0", "--out": str(out)},
+            "inc": {"--init": files["db"], "--delta": files["d1"], "--weights": files["w"],
+                    "--algo": "uwsinc+", "--min-sup": "0.2", "--mu": "0.7",
+                    "--wgt-fct": "1.0", "--out-dir": str(out)},
+            "bench": {"--db": files["db"], "--weights": files["w"], "--min-sup-list": "0.2,0.3",
+                      "--out": str(out)},
+            "gen": {"--in": str(precise), "--seed": "7", "--out-db": str(out),
+                    "--out-weights": str(tmp_path / "w.out")},
+        }
+        base["oracle"] = base["mine"]
+        argv = [command] + [tok for f, v in {**base[command], flag: value}.items() for tok in (f, v)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    """A 0xff byte on line 2 of any input file is a data error (exit 1), not a traceback."""
+
+    BAD = {
+        "db": b"a:0.5 -1 -2\na:0.5 \xff -1 -2\n",
+        "weights": b"a 0.8\n\xff 0.5\n",
+        "spmf": b"1 -1 -2\n1 \xff -1 -2\n",
+        "patterns": b"(a)\t1.000000\n(\xff)\t1.000000\n",
+        "checkpoint": b"useqmine-checkpoint/2 \xff\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_exit_1(self, files, tmp_path, capsys, kind):
+        # --baseline-dir reads the pattern file of step 0 by its fixed name.
+        bad = tmp_path / ("step_0.tsv" if kind == "patterns" else "bad.txt")
+        bad.write_bytes(self.BAD[kind])
+        out = str(tmp_path / "out")
+        mine = ["mine", "--db", files["db"], "--weights", files["w"],
+                "--min-sup", "0.2", "--wgt-fct", "1.0", "--out", out]
+        inc = ["inc", "--delta", files["d1"], "--weights", files["w"], "--algo", "uwsinc",
+               "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0", "--out-dir", out]
+        argv = {
+            "db": mine[:2] + [str(bad)] + mine[3:],
+            "weights": mine[:4] + [str(bad)] + mine[5:],
+            "spmf": ["gen", "--in", str(bad), "--seed", "7", "--out-db", out,
+                     "--out-weights", str(tmp_path / "w.out")],
+            "patterns": inc + ["--init", files["db"], "--baseline-dir", str(tmp_path)],
+            "checkpoint": inc + ["--checkpoint", str(bad)],
+        }[kind]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        if kind != "checkpoint":
+            assert f"{bad}:2:" in err

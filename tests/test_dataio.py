@@ -251,6 +251,14 @@ class TestSplit:
                 initial_fraction=0.5, increment_fractions=(0.5,), ratio_range=(0.1, 0.2)
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fractions_rejected(self, value):
+        # nan and inf used to pass, and split_db then failed inside round().
+        with pytest.raises(MiningError):
+            SplitSpec(initial_fraction=0.5, increment_fractions=(0.5, value))
+        with pytest.raises(MiningError):
+            SplitSpec(initial_fraction=0.5, ratio_range=(0.1, value), count=2, seed=1)
+
 
 class TestPatternsFile:
     def test_tsv_shape(self, tmp_path):

@@ -1,14 +1,15 @@
+import math
 import random
 
 import pytest
 
 from useqmine import (
     BoundRecord,
+    MiningError,
     Thresholds,
     WamAccumulator,
     WeightTable,
     determine,
-    exp_support_top,
     extend,
     fuws,
     meets,
@@ -162,16 +163,31 @@ class TestBounds:
             for anc in ancestors(pat):
                 assert anc in generated  # growth only descends through kept nodes
 
-    def test_exp_support_top_direction_and_equality(self, sample_db, sample_weights):
-        pdb, _ = preprocess(sample_db, sample_weights)
-        root = root_projection(pdb)
+    def test_top_bound_direction_and_equality(self, sample_db, sample_weights):
+        trace = []
+        mine_trie(sample_db, sample_weights, 0.2, 1.0, trace=trace)
+        roots = {rec.pattern: rec for rec in trace if rec.pattern.length == 1}
         # Looser bound at the root for item a: peak 0.9 over 6 sequences.
-        assert exp_support_top(1.0, "a", pdb, root) == pytest.approx(5.4)
-        for c in determine(pdb, root):
-            top = exp_support_top(1.0, c.item, pdb, root, c.kind)
-            assert c.prob_sum <= top + 1e-12
+        assert roots[P("(a)")].exp_sup_top == pytest.approx(5.4)
+        pdb, _ = preprocess(sample_db, sample_weights)
+        for c in determine(pdb, root_projection(pdb)):
+            rec = roots[single(c.item)]
+            assert rec.exp_sup_cap <= rec.exp_sup_top + 1e-12
             if c.seq_count == 1:
-                assert top == pytest.approx(c.prob_sum)
+                assert rec.exp_sup_top == pytest.approx(rec.exp_sup_cap)
+
+    @pytest.mark.parametrize(
+        "min_sup, wgt_fct", [(math.nan, 1.0), (-0.3, 1.0), (0.3, math.nan), (0.3, -1.0)]
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, sample_db, sample_weights,
+                                                     min_sup, wgt_fct):
+        with pytest.raises(MiningError):
+            mine_trie(sample_db, sample_weights, min_sup, wgt_fct)
+
+    def test_effective_fraction_may_pass_one(self, sample_db, sample_weights):
+        # An increment's local mine runs at lwes_factor * min_sup * mu, which can exceed 1.
+        trie, stats = mine_trie(sample_db, sample_weights, 1.5, 1.0)
+        assert stats.min_wes > 0.0 and trie.pattern_count == stats.survivors
 
     def test_lemma_chain_on_random_instances(self):
         rng = random.Random(99)

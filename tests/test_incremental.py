@@ -11,9 +11,7 @@ from useqmine import (
     fuws,
     init_mining,
     load_state,
-    local_threshold,
     meets,
-    mine_trie,
     oracle_wes,
     save_state,
     USeqTrie,
@@ -21,6 +19,7 @@ from useqmine import (
     uwsinc_step,
     uwsincplus_step,
 )
+from useqmine import incremental
 
 from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
@@ -111,11 +110,28 @@ class TestUwsinc:
         assert P("(c)(a)") not in state.seq_trie
 
 
+@pytest.fixture
+def local_mines(monkeypatch):
+    """The ``MineStats`` of every mine ``incremental`` runs, in order; a step's
+    local mine is the last one, and its ``min_wes`` is the step's local threshold."""
+    seen = []
+    real = incremental.mine_trie
+
+    def spy(*args, **kwargs):
+        trie, stats = real(*args, **kwargs)
+        seen.append(stats)
+        return trie, stats
+
+    monkeypatch.setattr(incremental, "mine_trie", spy)
+    return seen
+
+
 class TestUwsincPlus:
-    def test_golden_steps(self, sample_db, sample_weights, delta1, delta2):
+    def test_golden_steps(self, sample_db, sample_weights, delta1, delta2, local_mines):
         state = init_mining(sample_db, sample_weights, PARAMS)
-        assert local_threshold(state, delta1) == pytest.approx(0.96, abs=0.01)
         uwsincplus_step(state, delta1)
+        assert local_mines[-1].db_size == delta1.size
+        assert local_mines[-1].min_wes == pytest.approx(0.96, abs=0.01)
         f, s, p = classes(state)
         assert_sets(
             f,
@@ -160,19 +176,12 @@ class TestUwsincPlus:
             },
         )
 
-    def test_local_threshold_is_the_local_mines(self, sample_db, sample_weights, delta1):
-        # uwsincplus_step reads lwes off its local mine instead of recomputing it.
-        state = init_mining(sample_db, sample_weights, PARAMS)
-        scaled = PARAMS.lwes_factor * PARAMS.min_sup * PARAMS.mu
-        _, local = mine_trie(delta1, sample_weights, scaled, PARAMS.wgt_fct)
-        assert local_threshold(state, delta1) == local.min_wes
-
-    def test_invariants_after_each_step(self, sample_db, sample_weights, delta1, delta2):
+    def test_invariants_after_each_step(self, sample_db, sample_weights, delta1, delta2,
+                                        local_mines):
         state = init_mining(sample_db, sample_weights, PARAMS)
         for delta in (delta1, delta2):
-            lwes = local_threshold(state, delta)
             uwsincplus_step(state, delta)
-            check_state_invariants(state, lwes)
+            check_state_invariants(state, local_mines[-1].min_wes)
 
     def test_existing_patterns_keep_history(self, sample_db, sample_weights, delta1):
         # (a c) is both tracked and locally frequent; the tracked value (full

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from useqmine import (
     Event,
@@ -137,6 +140,24 @@ class TestValidation:
             MiningParams(min_sup=0.2, wgt_fct=1.0, mu=0.0)
         assert MiningParams(min_sup=0.2, wgt_fct=1.0).mu == 1.0
         assert MiningParams(min_sup=0.2, wgt_fct=1.0).lwes_factor == 2.0
+
+
+PARAM_UPPER = {"min_sup": 1.0, "wgt_fct": math.inf, "mu": 1.0, "lwes_factor": math.inf}
+
+
+@given(field=st.sampled_from(sorted(PARAM_UPPER)), value=st.floats())
+@example(field="wgt_fct", value=math.nan)
+@example(field="wgt_fct", value=math.inf)
+@example(field="lwes_factor", value=math.nan)
+def test_params_field_constructs_in_range_or_raises(field, value):
+    fields = {"min_sup": 0.2, "wgt_fct": 1.0, "mu": 0.7, "lwes_factor": 2.0, field: value}
+    in_range = math.isfinite(value) and 0.0 < value <= PARAM_UPPER[field]
+    try:
+        params = MiningParams(**fields)
+    except MiningError:
+        assert not in_range
+    else:
+        assert in_range and getattr(params, field) == value
 
 
 class TestThresholds:
