@@ -10,10 +10,12 @@ A preprocessed sequence is only its item index, read off
 holding it and its suffix-max probability at each, and the items run by
 their last position, latest first. Growth is a pseudo-projection over that
 index (as in PrefixSpan): a projection entry is a (sequence, event) anchor,
-``determine`` reads each item's best remaining probability with one bisect
-and stops at the first item whose last occurrence lies before the anchor,
-and ``project`` re-anchors with one bisect and skips a sequence lacking the
-item with one dict miss.
+and ``determine`` reads each item's best remaining probability with one
+bisect and stops at the first item whose last occurrence lies before the
+anchor. Each candidate it returns carries the entries its item was read
+from, and growth projects a generated candidate over those entries alone, so
+``project`` touches only sequences that still hold the item and re-anchors
+each with one bisect.
 
 The bound for extending a prefix with item b is::
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -107,7 +109,7 @@ Entry = tuple[int, int]
 
 @dataclass(frozen=True)
 class ProjectedDB:
-    entries: tuple[Entry, ...]
+    entries: Sequence[Entry]
     # Last (max) item of the open final itemset; ascending itemsets make it
     # the only ordering constraint an i-extension has to respect.
     open_item: ItemId | None
@@ -119,7 +121,13 @@ class ExtensionCandidate:
     kind: ExtKind
     prob_sum: float  # sum over projected sequences of the item's best prob
     prob_max: float  # max of those per-sequence bests
-    seq_count: int  # projected sequences where the item occurs at valid spots
+    # The projection's entries where the item occurs at valid spots, in
+    # projection order: the only ones the extension's projection can keep.
+    entries: list[Entry]
+
+    @property
+    def seq_count(self) -> int:
+        return len(self.entries)
 
 
 @dataclass
@@ -225,12 +233,20 @@ def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate
     suffix max at the anchor event when the item is there, and the S value
     otherwise. Every item of the index occurring in the remaining suffixes is
     a candidate.
+
+    Each candidate also gets the entries it was read from, in projection
+    order. Those are exactly the entries ``project`` can keep for that
+    extension: an S-candidate's hold the item after the anchor event, and an
+    I-candidate's hold it in the anchor event (after ``open_item``, as it is
+    larger) or later. Growth therefore projects over a candidate's own
+    entries, and gets the same child projection as over all of them.
     """
-    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, 0])  # sum, max, count
-    i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, 0])
+    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])  # sum, max, entries
+    i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     open_item = proj.open_item
     sequences = pdb.sequences
-    for si, ei in proj.entries:
+    for entry in proj.entries:
+        si, ei = entry
         for it, (ks, ps) in sequences[si].index.items():
             last = ks[-1]
             if last < ei:
@@ -240,7 +256,7 @@ def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate
                 p = ps[j]
                 slot = s_acc[it]
                 slot[0] += p
-                slot[2] += 1
+                slot[2].append(entry)
                 if p > slot[1]:
                     slot[1] = p
                 if j and ks[j - 1] == ei:
@@ -250,7 +266,7 @@ def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate
             if open_item is not None and it > open_item:
                 slot = i_acc[it]
                 slot[0] += p
-                slot[2] += 1
+                slot[2].append(entry)
                 if p > slot[1]:
                     slot[1] = p
     return [
@@ -270,7 +286,9 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     The occurrence is found by bisecting the item's event positions: an
     I-extension first takes the item inside the open event when it sorts
     after ``open_item``, otherwise the first event after the anchor.
-    Sequences that lack the item cost one dict miss.
+    Growth passes only a candidate's own entries (see ``determine``), so
+    every sequence it reads holds the item; any other lacking it costs one
+    dict miss.
     """
     out: list[Entry] = []
     sequences = pdb.sequences
@@ -396,7 +414,8 @@ class _Growth:
         while stack:
             proj, pending = stack[-1]
             for cand, pat, maxpr, mxw in pending:
-                child = project(self.pdb, proj, cand.item, cand.kind)
+                own = ProjectedDB(cand.entries, proj.open_item)
+                child = project(self.pdb, own, cand.item, cand.kind)
                 if child.entries:
                     stack.append((child, self.level(child, pat, maxpr, mxw)))
                     break
@@ -449,5 +468,5 @@ def pattern_max_pr(pdb: PreprocessedDB, pattern: Pattern) -> float:
         if hit is None:
             return 0.0
         maxpr *= hit.prob_max
-        proj = project(pdb, proj, item, kind)
+        proj = project(pdb, ProjectedDB(hit.entries, proj.open_item), item, kind)
     return maxpr

@@ -31,6 +31,7 @@ from .model import (
     UncertainDatabase,
     WamAccumulator,
     WeightTable,
+    check_nonnegative,
     meets,
 )
 from .trie import USeqTrie, sup_calc
@@ -216,6 +217,8 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
         )
     except ValueError as exc:
         raise MiningError(f"bad checkpoint header: {exc}") from None
+    for name, value in (("db_size", db_size), ("wam_num", wam_num), ("wam_den", wam_den)):
+        check_nonnegative(f"checkpoint {name}", value)
     try:
         seq_at = lines.index(CHECKPOINT_SEQ)
         pfs_at = lines.index(CHECKPOINT_PFS)

@@ -47,16 +47,24 @@ def check_positive(name: str, value: float, upper: float | None = None) -> None:
         raise MiningError(f"{name} must be finite and in (0, {limit}: {value}")
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """The check on a stored count or sum: finite and at least 0. nan fails
+    the comparison, so it is rejected."""
+    if not 0.0 <= value < math.inf:
+        raise MiningError(f"{name} must be finite and not negative: {value}")
+
+
 def check_item_token(token: str) -> str:
     """Validate an item identifier; returns it unchanged."""
     if not token or token in RESERVED_TOKENS:
         raise MiningError(f"invalid item token {token!r}")
-    if ":" in token or any(c.isspace() for c in token):
+    # ``split`` cuts at exactly the characters ``isspace`` accepts, in C.
+    if ":" in token or token.split() != [token]:
         raise MiningError(f"item token {token!r} must not contain ':' or whitespace")
     return token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbItem:
     """An item occurrence with its existential probability."""
 
@@ -69,7 +77,7 @@ class ProbItem:
             raise MiningError(f"probability of {self.item!r} out of (0, 1]: {self.prob}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One itemset of a sequence; items strictly ascending, no duplicates."""
 
@@ -86,7 +94,7 @@ class Event:
         return {pi.item: pi.prob for pi in self.items}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class USequence:
     """An uncertain sequence: ordered events."""
 
@@ -239,8 +247,7 @@ class ScoredPattern:
     wes: float
 
     def __post_init__(self):
-        if self.wes < 0.0:
-            raise MiningError(f"negative weighted expected support: {self.wes}")
+        check_nonnegative("weighted expected support", self.wes)
 
 
 @dataclass(frozen=True)

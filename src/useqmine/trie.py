@@ -27,6 +27,7 @@ from .model import (
     ScoredPattern,
     UncertainDatabase,
     WeightTable,
+    check_nonnegative,
     item_index,
     meets,
 )
@@ -203,8 +204,13 @@ class USeqTrie:
             del stack[depth:]
             node = TrieNode(kind, item)
             if wes_s != "-":
+                try:
+                    wes = float(wes_s)
+                except ValueError:
+                    raise MiningError(f"snapshot line {lineno}: bad wes {wes_s!r}") from None
+                check_nonnegative(f"snapshot line {lineno}: wes", wes)
                 node.is_pattern = True
-                node.wes = float(wes_s)
+                node.wes = wes
                 trie.pattern_count += 1
             stack[-1].children[(kind, item)] = node
             stack.append(node)

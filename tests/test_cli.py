@@ -180,6 +180,22 @@ class TestInc:
         assert "different weight table" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["1 S a x", "1 S a nan", "1 S a -3.0"])
+    def test_checkpoint_with_bad_wes_refused(self, files, tmp_path, capsys, bad):
+        ck = tmp_path / "state.ck"
+        flags = ["--algo", "uwsinc+", "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0",
+                 "--weights", files["w"], "--checkpoint", str(ck)]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"], *flags,
+                     "--out-dir", str(tmp_path / "run1")]) == 0
+        head, _ = ck.read_text().split("\n", 1)
+        ck.write_text(f"{head}\n[seq-trie]\n{bad}\n[pfs-trie]\n")
+        capsys.readouterr()
+        assert main(["inc", "--delta", files["d2"], *flags,
+                     "--out-dir", str(tmp_path / "run2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot line 1" in err
+        assert "Traceback" not in err
+
     def test_init_with_existing_checkpoint_refused(self, files, tmp_path, capsys):
         ck = str(tmp_path / "state.ck")
         flags = ["--weights", files["w"], "--algo", "uwsinc+", "--min-sup", "0.2",

@@ -297,3 +297,10 @@ class TestPatternsFile:
         back = read_patterns_tsv(str(path))
         assert [sp.pattern for sp in back] == [sp.pattern for sp in rows]
         assert back[0].wes == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("wes", ["nan", "inf", "-inf", "-0.5"])
+    def test_read_patterns_tsv_rejects_bad_wes(self, tmp_path, wes):
+        path = tmp_path / "p.tsv"
+        path.write_text(f"(a)\t1.0\n(b)\t{wes}\n")
+        with pytest.raises(ParseError, match=f"{path}:2: .*finite and not negative"):
+            read_patterns_tsv(str(path))

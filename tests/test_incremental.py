@@ -398,6 +398,43 @@ class TestCheckpoint:
             load_state(str(path), sample_weights)
 
 
+class TestCheckpointNumbers:
+    """A number in a checkpoint that no save could have written is a ``MiningError``."""
+
+    @pytest.fixture
+    def checkpoint(self, sample_db, sample_weights, delta1, tmp_path):
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        uwsincplus_step(state, delta1)
+        path = tmp_path / "ck.txt"
+        save_state(state, str(path))
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(2, "-1"), (3, "nan"), (3, "inf"), (3, "-0.5"), (4, "-1")],
+    )
+    def test_bad_header_number(self, checkpoint, sample_weights, field, value):
+        head, rest = checkpoint.read_text().split("\n", 1)
+        fields = head.split()
+        fields[field] = value
+        checkpoint.write_text(" ".join(fields) + "\n" + rest)
+        name = {2: "db_size", 3: "wam_num", 4: "wam_den"}[field]
+        with pytest.raises(MiningError, match=f"checkpoint {name} must be finite and not"):
+            load_state(str(checkpoint), sample_weights)
+
+    @pytest.mark.parametrize("section", [incremental.CHECKPOINT_SEQ, incremental.CHECKPOINT_PFS])
+    @pytest.mark.parametrize("wes", ["x", "nan", "inf", "-3.0"])
+    def test_bad_snapshot_wes(self, checkpoint, sample_weights, section, wes):
+        lines = checkpoint.read_text().splitlines()
+        start = lines.index(section)
+        at = next(i for i in range(start + 1, len(lines)) if not lines[i].endswith(" -"))
+        assert not lines[at].startswith("[")
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + wes
+        checkpoint.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MiningError, match=f"snapshot line {at - start}: "):
+            load_state(str(checkpoint), sample_weights)
+
+
 def test_baseline_equivalence(sample_db, sample_weights, delta1):
     # A from-scratch rerun on the concatenation is the completeness yardstick.
     whole = UncertainDatabase.concat([sample_db, delta1])

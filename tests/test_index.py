@@ -1,6 +1,9 @@
 """Property tests for the per-sequence item index behind ``determine``, ``project``
 and ``sup_calc``."""
 
+import importlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from useqmine import (
     WeightTable,
     determine,
     max_pr_dynamic,
+    mine_trie,
     preprocess,
     project,
     root_projection,
@@ -23,6 +27,10 @@ from useqmine import (
     sup_calc,
 )
 from useqmine.fuws import prune_index
+
+from conftest import random_db, random_weights
+
+fuws = importlib.import_module("useqmine.fuws")  # the package's ``fuws`` is the function
 
 DB_ITEMS = "abcde"
 TRIE_ITEMS = "cdefg"  # overlaps DB_ITEMS only in c, d, e
@@ -176,6 +184,70 @@ def test_determine_on_pruned_index_matches_event_walk(data, db, keep):
             break
         pick = data.draw(st.sampled_from(cands))
         proj = project(pdb, proj, pick.item, pick.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    db=databases(last_min_size=2),
+    keep=st.none() | st.sets(st.sampled_from(DB_ITEMS)),
+)
+def test_candidates_project_over_their_own_entries(data, db, keep):
+    # Growth projects a candidate over its own entries; along any chain, on
+    # the whole index or a pruned one, that gives the same child projection
+    # as projecting the candidate's whole parent projection.
+    pdb, _ = preprocess(db, WEIGHTS)
+    if keep is not None:
+        prune_index(pdb, keep, WEIGHTS)
+    proj = root_projection(pdb)
+    for _ in range(5):
+        cands = determine(pdb, proj)
+        for c in cands:
+            rest = iter(proj.entries)
+            assert all(entry in rest for entry in c.entries)  # in order, a subsequence
+            assert c.seq_count == len(c.entries)
+            own = ProjectedDB(c.entries, proj.open_item)
+            assert project(pdb, own, c.item, c.kind) == project(pdb, proj, c.item, c.kind)
+        if not cands:
+            break
+        pick = data.draw(st.sampled_from(cands))
+        proj = project(pdb, proj, pick.item, pick.kind)
+
+
+def test_growth_hands_project_only_the_generated_candidates_entries(monkeypatch):
+    rng = random.Random(7)
+    db = random_db(rng, max_seqs=30, min_seqs=30, max_events=8)
+    weights = random_weights(rng)
+    handed = []
+    plain = fuws.project
+
+    def counting(pdb, proj, item, kind):
+        handed.append(len(proj.entries))
+        return plain(pdb, proj, item, kind)
+
+    monkeypatch.setattr(fuws, "project", counting)
+    trace = []
+    _, stats = mine_trie(db, weights, 0.1, 1.0, trace=trace)
+    monkeypatch.undo()
+    generated = [r for r in trace if r.generated]
+    assert len(handed) == stats.candidates == len(generated) > 10
+
+    # Each generated candidate's seq_count, read off the whole projection of
+    # its prefix on the index growth reads below the root.
+    pdb, _ = preprocess(db, weights)
+    prune_index(pdb, {r.pattern.last_item for r in generated if r.pattern.length == 1}, weights)
+    want = whole = 0
+    for r in generated:
+        *prefix, step = [
+            (it, "I" if k else "S") for ev in r.pattern.events for k, it in enumerate(ev)
+        ]
+        proj = root_projection(pdb)
+        for item, kind in prefix:
+            proj = project(pdb, proj, item, kind)
+        cand = next(c for c in determine(pdb, proj) if (c.item, c.kind) == step)
+        want += cand.seq_count
+        whole += len(proj.entries)
+    assert sum(handed) == want < whole
 
 
 patterns = st.lists(itemsets(TRIE_ITEMS), min_size=1, max_size=3).map(

@@ -21,6 +21,7 @@ from useqmine import (
     s_weight,
     single,
 )
+from useqmine.model import check_item_token
 
 from conftest import P
 
@@ -129,6 +130,12 @@ class TestValidation:
         with pytest.raises(MiningError):
             ScoredPattern(P("(a)"), -0.1)
 
+    @pytest.mark.parametrize("wes", [math.nan, math.inf])
+    def test_scored_pattern_finite(self, wes):
+        with pytest.raises(MiningError, match="finite and not negative"):
+            ScoredPattern(P("(a)"), wes)
+        assert ScoredPattern(P("(a)"), 0.0).wes == 0.0
+
     def test_params_ranges(self):
         with pytest.raises(MiningError):
             MiningParams(min_sup=0.0, wgt_fct=1.0)
@@ -158,6 +165,23 @@ def test_params_field_constructs_in_range_or_raises(field, value):
         assert not in_range
     else:
         assert in_range and getattr(params, field) == value
+
+
+@given(token=st.text(min_size=1))
+@example(token="a\x1cb")  # an ASCII separator, space to isspace and split alike
+@example(token="a\u00a0")
+@example(token="a\u2028")
+@example(token="\u200b")  # zero-width space: not whitespace to either
+def test_item_token_whitespace_check_agrees_with_isspace(token):
+    has_space = any(c.isspace() for c in token)
+    assert (token.split() != [token]) == has_space
+    if ":" not in token and token not in ("-1", "-2"):
+        try:
+            check_item_token(token)
+        except MiningError:
+            assert has_space
+        else:
+            assert not has_space
 
 
 class TestThresholds:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
+    MiningError,
     Pattern,
     UncertainDatabase,
     USeqTrie,
@@ -213,6 +214,14 @@ class TestSnapshot:
             USeqTrie.from_snapshot("1 S a\n")
         with pytest.raises(Exception):
             USeqTrie.from_snapshot("1 I a 0.5\n")
+
+    @pytest.mark.parametrize("wes", ["x", "nan", "inf", "-3.0"])
+    def test_bad_wes_rejected_with_its_line(self, wes):
+        with pytest.raises(MiningError, match="snapshot line 2"):
+            USeqTrie.from_snapshot(f"1 S a 0.5\n1 S b {wes}\n")
+
+    def test_zero_wes_accepted(self):
+        assert USeqTrie.from_snapshot("1 S a 0.0\n").get_wes(P("(a)")) == 0.0
 
 
 ITEMSETS = st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True).map(
