@@ -90,8 +90,7 @@ def _emit_patterns(patterns: list[ScoredPattern], out: str | None, fmt: str) -> 
     if out:
         dataio.write_patterns(out, patterns, fmt)
     else:
-        for sp in patterns:
-            sys.stdout.write(f"{dataio.format_pattern(sp.pattern)}\t{sp.wes:.6f}\n")
+        sys.stdout.writelines(dataio.pattern_lines(patterns, fmt))
 
 
 def cmd_mine(args: argparse.Namespace) -> int:

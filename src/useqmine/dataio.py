@@ -2,8 +2,11 @@
 
 Uncertain sequence file: one sequence per line, whitespace-separated tokens.
 ``item:prob`` is an item occurrence, ``-1`` closes an event, ``-2`` closes the
-sequence and must be the last token. Items inside an event are re-sorted
-ascending on load. Weight file: ``item weight`` per line.
+sequence and must be the last token; precise SPMF sequence files follow the
+same grammar with bare items. Items inside an event are re-sorted ascending on
+load. Weight file: ``item weight`` per line. The sequence readers check syntax
+only; ``ProbItem`` and ``Event`` check what they hold, and each error names
+its line.
 
 Generation turns a precise SPMF dataset into an uncertain weighted one by
 drawing a Gaussian probability per item occurrence and a Gaussian weight per
@@ -19,6 +22,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import (
     Event,
@@ -26,7 +30,6 @@ from .model import (
     MiningError,
     Pattern,
     ProbItem,
-    RESERVED_TOKENS,
     ScoredPattern,
     UncertainDatabase,
     USequence,
@@ -160,53 +163,67 @@ class SplitSpec:
                 raise MiningError("ratio_range needs a seed")
 
 
-# -- uncertain sequence format ----------------------------------------------
+# -- sequence files -----------------------------------------------------------
 
 
-def _parse_sequence_tokens(tokens: list[str], path: str, lineno: int) -> tuple[Event, ...]:
+def _events(tokens: list[str]) -> list[list[str]]:
+    """Split a sequence line's tokens into its events' tokens.
+
+    The one ``-1`` / ``-2`` grammar, shared by uncertain and precise SPMF
+    sequence files: ``-1`` closes a non-empty event and ``-2`` closes the
+    sequence as the last token. Raises ``MiningError``; readers add the line.
+    """
     if tokens[-1] != "-2":
-        raise ParseError(path, lineno, "sequence must end with -2")
-    events: list[Event] = []
-    current: dict[ItemId, float] = {}
+        raise MiningError("sequence must end with -2")
+    events: list[list[str]] = []
+    current: list[str] = []
     for tok in tokens[:-1]:
-        if tok == "-2":
-            raise ParseError(path, lineno, "-2 before end of line")
         if tok == "-1":
             if not current:
-                raise ParseError(path, lineno, "empty event")
-            items = tuple(ProbItem(it, current[it]) for it in sorted(current))
-            events.append(Event(items))
-            current = {}
-            continue
-        item, sep, prob_s = tok.partition(":")
-        if not sep or not item or not prob_s:
-            raise ParseError(path, lineno, f"malformed token {tok!r}, expected item:prob")
-        if item in RESERVED_TOKENS:
-            raise ParseError(path, lineno, f"reserved item token {item!r}")
-        try:
-            prob = float(prob_s)
-        except ValueError:
-            raise ParseError(path, lineno, f"bad probability in {tok!r}") from None
-        if not 0.0 < prob <= 1.0:
-            raise ParseError(path, lineno, f"probability out of (0, 1] in {tok!r}")
-        if item in current:
-            raise ParseError(path, lineno, f"duplicate item {item!r} in event")
-        current[item] = prob
+                raise MiningError("empty event")
+            events.append(current)
+            current = []
+        elif tok == "-2":
+            raise MiningError("-2 before end of line")
+        else:
+            current.append(tok)
     if current:
-        raise ParseError(path, lineno, "event not closed with -1 before -2")
+        raise MiningError("event not closed with -1 before -2")
     if not events:
-        raise ParseError(path, lineno, "sequence has no events")
-    return tuple(events)
+        raise MiningError("sequence has no events")
+    return events
+
+
+_by_item = attrgetter("item")
 
 
 def parse_uncertain_db(path: str) -> UncertainDatabase:
+    """Read an uncertain sequence file. The parser checks only the ``item:prob``
+    shape and the number; ``ProbItem`` and ``Event`` check the item token, the
+    probability range and repeated items, and their error gets the line."""
     sequences: list[USequence] = []
     for lineno, line in _lines(path):
         tokens = line.split()
         if not tokens:
             continue
-        events = _parse_sequence_tokens(tokens, path, lineno)
-        sequences.append(USequence(events))
+        try:
+            events: list[Event] = []
+            for raw in _events(tokens):
+                items: list[ProbItem] = []
+                for tok in raw:
+                    item, sep, prob_s = tok.partition(":")
+                    if not sep or not item or not prob_s:
+                        raise MiningError(f"malformed token {tok!r}, expected item:prob")
+                    try:
+                        prob = float(prob_s)
+                    except ValueError:
+                        raise MiningError(f"bad probability in {tok!r}") from None
+                    items.append(ProbItem(item, prob))
+                items.sort(key=_by_item)
+                events.append(Event(tuple(items)))
+            sequences.append(USequence(tuple(events)))
+        except MiningError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     return UncertainDatabase(tuple(sequences))
 
 
@@ -255,77 +272,44 @@ def write_weights(path: str, weights: WeightTable) -> None:
 # -- dataset generation -------------------------------------------------------
 
 
-def _read_spmf_structure(path: str, fmt: str) -> list[list[list[ItemId]]]:
-    """Item structure of a precise SPMF file: sequences of events of items."""
-    if fmt not in ("spmf-seq", "spmf-itemset"):
-        raise MiningError(f"unknown input format {fmt!r}")
-    out: list[list[list[ItemId]]] = []
-    for lineno, line in _lines(path):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if fmt == "spmf-itemset":
-            # One transaction per line; every item becomes its own event.
-            seen: list[ItemId] = []
-            for tok in tokens:
-                if tok in RESERVED_TOKENS:
-                    raise ParseError(path, lineno, f"separator {tok} in itemset input")
-                if tok not in seen:
-                    seen.append(tok)
-            if not seen:
-                raise ParseError(path, lineno, "empty transaction")
-            out.append([[it] for it in seen])
-            continue
-        if tokens[-1] != "-2":
-            raise ParseError(path, lineno, "sequence must end with -2")
-        events: list[list[ItemId]] = []
-        current: list[ItemId] = []
-        for tok in tokens[:-1]:
-            if tok == "-2":
-                raise ParseError(path, lineno, "-2 before end of line")
-            if tok == "-1":
-                if not current:
-                    raise ParseError(path, lineno, "empty event")
-                events.append(current)
-                current = []
-                continue
-            if ":" in tok:
-                raise ParseError(path, lineno, f"unexpected ':' in precise input {tok!r}")
-            if tok not in current:  # drop in-event repeats from noisy inputs
-                current.append(tok)
-        if current:
-            raise ParseError(path, lineno, "event not closed with -1 before -2")
-        if not events:
-            raise ParseError(path, lineno, "sequence has no events")
-        out.append(events)
-    return out
-
-
 def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[UncertainDatabase, WeightTable]:
-    """Assign probabilities per occurrence and weights per distinct item.
+    """Read a precise SPMF file, assigning probabilities per occurrence and
+    weights per distinct item.
+
+    ``spmf-seq`` lines follow the sequence grammar with bare items;
+    ``spmf-itemset`` lines are one transaction each, every item its own
+    event. Items repeated within an event (within a transaction) are dropped.
+    ``ProbItem`` checks each item token, so an item holding ``:`` or a
+    separator token in a transaction is an error naming its line.
 
     Draws happen in file order: all probabilities first (sequence by
     sequence, event by event, items in their input order), then one weight
     per distinct item in first-appearance order.
     """
-    structure = _read_spmf_structure(path, fmt)
+    if fmt not in ("spmf-seq", "spmf-itemset"):
+        raise MiningError(f"unknown input format {fmt!r}")
     rng = Xoshiro256StarStar(cfg.seed)
-    first_seen: list[ItemId] = []
-    seen: set[ItemId] = set()
+    seen: dict[ItemId, float] = {}  # keys in first-appearance order
     sequences: list[USequence] = []
-    for events in structure:
-        evs: list[Event] = []
-        for items in events:
-            probs = {}
-            for item in items:
-                probs[item] = _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std))
-                if item not in seen:
-                    seen.add(item)
-                    first_seen.append(item)
-            evs.append(Event(tuple(ProbItem(it, probs[it]) for it in sorted(probs))))
-        sequences.append(USequence(tuple(evs)))
+    for lineno, line in _lines(path):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            raw = _events(tokens) if fmt == "spmf-seq" else [[tok] for tok in dict.fromkeys(tokens)]
+            events: list[Event] = []
+            for items in raw:
+                probs = {
+                    item: _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std))
+                    for item in dict.fromkeys(items)
+                }
+                seen.update(probs)
+                events.append(Event(tuple(ProbItem(it, probs[it]) for it in sorted(probs))))
+            sequences.append(USequence(tuple(events)))
+        except MiningError as exc:
+            raise ParseError(path, lineno, str(exc)) from None
     entries = {
-        item: _clamp01(rng.gauss(cfg.weight_mean, cfg.weight_std)) for item in first_seen
+        item: _clamp01(rng.gauss(cfg.weight_mean, cfg.weight_std)) for item in seen
     }
     return UncertainDatabase(tuple(sequences)), WeightTable(entries)
 
@@ -374,27 +358,26 @@ def parse_pattern(text: str) -> Pattern:
     text = text.strip()
     if not text.startswith("(") or not text.endswith(")"):
         raise MiningError(f"bad pattern text {text!r}")
-    events = []
-    for chunk in text[1:-1].split(")("):
-        items = tuple(chunk.split())
-        if not items:
-            raise MiningError(f"empty itemset in pattern text {text!r}")
-        events.append(items)
-    return Pattern(tuple(events))
+    return Pattern(tuple(tuple(chunk.split()) for chunk in text[1:-1].split(")(")))
+
+
+def pattern_lines(patterns: list[ScoredPattern], fmt: str = "tsv") -> list[str]:
+    """Each pattern as one output line in ``fmt``: the one pattern writer, for
+    a file and for standard output alike."""
+    if fmt == "tsv":
+        return [f"{format_pattern(sp.pattern)}\t{sp.wes:.6f}\n" for sp in patterns]
+    if fmt == "json-lines":
+        return [
+            json.dumps({"events": [list(ev) for ev in sp.pattern.events], "wes": sp.wes}) + "\n"
+            for sp in patterns
+        ]
+    raise MiningError(f"unknown pattern format {fmt!r}")
 
 
 def write_patterns(path: str, patterns: list[ScoredPattern], fmt: str = "tsv") -> None:
-    if fmt not in ("tsv", "json-lines"):
-        raise MiningError(f"unknown pattern format {fmt!r}")
+    lines = pattern_lines(patterns, fmt)  # before open: an unknown fmt leaves the file alone
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sp in patterns:
-            if fmt == "tsv":
-                fh.write(f"{format_pattern(sp.pattern)}\t{sp.wes:.6f}\n")
-            else:
-                fh.write(
-                    json.dumps({"events": [list(ev) for ev in sp.pattern.events], "wes": sp.wes})
-                    + "\n"
-                )
+        fh.writelines(lines)
 
 
 def read_patterns_tsv(path: str) -> list[ScoredPattern]:

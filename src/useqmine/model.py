@@ -84,11 +84,14 @@ class Event:
     items: tuple[ProbItem, ...]
 
     def __post_init__(self):
-        if not self.items:
+        items = self.items
+        if not items:
             raise MiningError("empty event")
-        names = [pi.item for pi in self.items]
-        if any(a >= b for a, b in zip(names, names[1:])):
-            raise MiningError(f"event items not strictly ascending: {names}")
+        for a, b in zip(items, items[1:]):
+            if a.item >= b.item:
+                if a.item == b.item:
+                    raise MiningError(f"duplicate item {a.item!r} in event")
+                raise MiningError(f"event items not strictly ascending: {[pi.item for pi in items]}")
 
     def prob_map(self) -> dict[ItemId, float]:
         return {pi.item: pi.prob for pi in self.items}

@@ -27,6 +27,7 @@ from .model import (
     ScoredPattern,
     UncertainDatabase,
     WeightTable,
+    check_item_token,
     check_nonnegative,
     item_index,
     meets,
@@ -202,6 +203,17 @@ class USeqTrie:
             if depth == 1 and kind == "I":
                 raise MiningError(f"snapshot line {lineno}: root edges must be S")
             del stack[depth:]
+            parent = stack[-1]
+            try:
+                check_item_token(item)
+            except MiningError as exc:
+                raise MiningError(f"snapshot line {lineno}: {exc}") from None
+            if kind == "I" and item <= parent.item:
+                raise MiningError(
+                    f"snapshot line {lineno}: I-edge item {item!r} must sort after {parent.item!r}"
+                )
+            if (kind, item) in parent.children:
+                raise MiningError(f"snapshot line {lineno}: repeated edge {kind} {item!r}")
             node = TrieNode(kind, item)
             if wes_s != "-":
                 try:
@@ -212,7 +224,7 @@ class USeqTrie:
                 node.is_pattern = True
                 node.wes = wes
                 trie.pattern_count += 1
-            stack[-1].children[(kind, item)] = node
+            parent.children[(kind, item)] = node
             stack.append(node)
         return trie
 

@@ -80,6 +80,20 @@ class TestMine:
         assert main(["mine", "--db", str(tmp_path / "missing.txt"), "--weights", files["w"],
                      "--min-sup", "0.2", "--wgt-fct", "1.0"]) == 1
 
+    @pytest.mark.parametrize("command", ["mine", "oracle"])
+    @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+    def test_stdout_matches_out_file(self, files, tmp_path, capsys, command, fmt):
+        argv = [command, "--db", files["db"], "--weights", files["w"], "--min-sup", "0.2",
+                "--wgt-fct", "1.0", "--mu", "0.7", "--format", fmt]
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.splitlines() == out.read_text().splitlines()
+        assert len(printed.splitlines()) == 5
+        assert printed.startswith("{" if fmt == "json-lines" else "(")
+
     def test_deterministic_output(self, files, tmp_path):
         outs = []
         for name in ("a.tsv", "b.tsv"):
@@ -195,6 +209,26 @@ class TestInc:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot line 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "snapshot", ["1 S b 0.75\n2 I a 0.375", "1 S a 0.75\n1 S a 0.5", "1 S b -\n2 S -1 0.5"]
+    )
+    def test_checkpoint_with_bad_edge_refused(self, files, tmp_path, capsys, snapshot):
+        ck = tmp_path / "state.ck"
+        flags = ["--algo", "uwsinc", "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0",
+                 "--weights", files["w"], "--checkpoint", str(ck)]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"], *flags,
+                     "--out-dir", str(tmp_path / "run1")]) == 0
+        head, _ = ck.read_text().split("\n", 1)
+        ck.write_text(f"{head}\n[seq-trie]\n{snapshot}\n[pfs-trie]\n")
+        before = ck.read_text()
+        capsys.readouterr()
+        assert main(["inc", "--delta", files["d2"], *flags,
+                     "--out-dir", str(tmp_path / "run2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot line 2: ")
+        assert "Traceback" not in err
+        assert ck.read_text() == before
 
     def test_init_with_existing_checkpoint_refused(self, files, tmp_path, capsys):
         ck = str(tmp_path / "state.ck")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from useqmine import (
     GenConfig,
@@ -55,6 +57,7 @@ class TestParseDb:
             ("a:x -1 -2", "bad probability"),
             ("-2", "no events"),
             ("a:0.5 -2 b:0.2 -1 -2", "-2 before end"),
+            ("-1:0.5 -1 -2", "invalid item token '-1'"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, line, needle):
@@ -179,9 +182,71 @@ class TestGen:
 
     def test_bad_input_reports_line(self, tmp_path):
         src = tmp_path / "in.txt"
-        src.write_text("1 -1 -2\n2 -1\n")
-        with pytest.raises(ParseError, match="in.txt:2"):
-            gen_uncertain(str(src), GenConfig(seed=1))
+        for fmt, text, needle in [
+            ("spmf-seq", "1 -1 -2\n2 -1\n", "must end with -2"),
+            ("spmf-seq", "1 -1 -2\n1 a:b -1 -2\n", "'a:b' must not contain ':'"),
+            ("spmf-itemset", "1 2\n1 2 a:b\n", "'a:b' must not contain ':'"),
+            ("spmf-itemset", "1 2\n1 -1 2\n", "invalid item token '-1'"),
+        ]:
+            src.write_text(text)
+            with pytest.raises(ParseError, match=f"in.txt:2: .*{needle}"):
+                gen_uncertain(str(src), GenConfig(seed=1), fmt)
+
+
+# Valid tokens, and tokens that each break one rule of a sequence line.
+UNCERTAIN_TOKENS = (["a:0.5", "b:0.25", "c:1"],
+                    ["a:1.5", "a:0", "a:nan", "a:x", "a:", ":0.5", "-1:0.5", "a:b:0.5", "a",
+                     "-1", "-2"])
+PRECISE_TOKENS = (["1", "2", "a"], ["a:b", ":", "-1", "-2"])
+
+
+def lines_of(tokens):
+    """Files of up to three lines: sequences built from events, or loose tokens.
+    Valid tokens are drawn more often than each invalid one, so whole files
+    parse too."""
+    valid, invalid = tokens
+    token = st.one_of(st.sampled_from(valid), st.sampled_from(valid + invalid))
+    event = st.lists(token, min_size=1, max_size=3).map(lambda toks: " ".join([*toks, "-1"]))
+    sequence = st.lists(event, min_size=1, max_size=3).map(lambda evs: " ".join([*evs, "-2"]))
+    line = st.one_of(sequence, st.lists(token, max_size=6).map(" ".join))
+    return st.lists(line, min_size=1, max_size=3)
+
+
+def check_parses_or_names_line(read, path, lines):
+    """``read`` either reads every line or raises ``ParseError`` naming the
+    first line that fails on its own; any other exception fails the test."""
+    first_bad = None
+    for lineno, line in enumerate(lines, start=1):
+        path.write_text(line + "\n")
+        try:
+            read(str(path))
+        except ParseError:
+            first_bad = lineno
+            break
+    path.write_text("\n".join(lines) + "\n")
+    if first_bad is None:
+        assert read(str(path)).size == sum(1 for line in lines if line.strip())
+        return
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert err.value.lineno == first_bad
+    assert str(err.value).startswith(f"{path}:{first_bad}: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=lines_of(UNCERTAIN_TOKENS))
+def test_uncertain_reader_parses_or_names_the_line(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "uncertain.txt"
+    check_parses_or_names_line(parse_uncertain_db, path, lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=lines_of(PRECISE_TOKENS), fmt=st.sampled_from(["spmf-seq", "spmf-itemset"]))
+def test_precise_reader_parses_or_names_the_line(tmp_path_factory, lines, fmt):
+    path = tmp_path_factory.getbasetemp() / "precise.txt"
+    check_parses_or_names_line(
+        lambda p: gen_uncertain(p, GenConfig(seed=1), fmt)[0], path, lines
+    )
 
 
 class TestGaussianGenerator:
@@ -289,6 +354,11 @@ class TestPatternsFile:
                 events.append(tuple(sorted(rng.sample(items, k))))
             pat = P("".join("(" + " ".join(ev) + ")" for ev in events))
             assert parse_pattern(format_pattern(pat)) == pat
+
+    @pytest.mark.parametrize("text", ["()", "(a)()", "(b a)", "a"])
+    def test_bad_pattern_text(self, text):
+        with pytest.raises(MiningError):
+            parse_pattern(text)
 
     def test_read_patterns_tsv(self, tmp_path):
         path = tmp_path / "p.tsv"

@@ -434,6 +434,21 @@ class TestCheckpointNumbers:
         with pytest.raises(MiningError, match=f"snapshot line {at - start}: "):
             load_state(str(checkpoint), sample_weights)
 
+    @pytest.mark.parametrize(
+        "snapshot, needle",
+        [
+            ("1 S b 0.75\n2 I a 0.375\n", "snapshot line 2: I-edge"),
+            ("1 S a 0.75\n1 S a 0.5\n", "snapshot line 2: repeated edge"),
+            ("1 S -1 0.75\n", "snapshot line 1: invalid item token"),
+        ],
+    )
+    def test_bad_snapshot_edges(self, checkpoint, sample_weights, snapshot, needle):
+        head = checkpoint.read_text().split("\n", 1)[0]
+        checkpoint.write_text(f"{head}\n{incremental.CHECKPOINT_SEQ}\n{snapshot}"
+                              f"{incremental.CHECKPOINT_PFS}\n")
+        with pytest.raises(MiningError, match=needle):
+            load_state(str(checkpoint), sample_weights)
+
 
 def test_baseline_equivalence(sample_db, sample_weights, delta1):
     # A from-scratch rerun on the concatenation is the completeness yardstick.

@@ -103,9 +103,9 @@ class TestValidation:
         assert ProbItem("a", 1.0).prob == 1.0
 
     def test_event_ordering(self):
-        with pytest.raises(MiningError):
+        with pytest.raises(MiningError, match="not strictly ascending"):
             Event((ProbItem("b", 0.5), ProbItem("a", 0.5)))
-        with pytest.raises(MiningError):
+        with pytest.raises(MiningError, match="duplicate item 'a' in event"):
             Event((ProbItem("a", 0.5), ProbItem("a", 0.6)))
 
     def test_empty_event_and_sequence(self):

@@ -220,6 +220,20 @@ class TestSnapshot:
         with pytest.raises(MiningError, match="snapshot line 2"):
             USeqTrie.from_snapshot(f"1 S a 0.5\n1 S b {wes}\n")
 
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("1 S b 0.75\n2 I a 0.375\n", "snapshot line 2: I-edge item 'a' must sort after 'b'"),
+            ("1 S a -\n2 I a 0.5\n", "snapshot line 2: I-edge item 'a' must sort after 'a'"),
+            ("1 S a 0.5\n2 S b 0.25\n1 S a 0.5\n", "snapshot line 3: repeated edge S 'a'"),
+            ("1 S a 0.5\n2 S -1 0.25\n", "snapshot line 2: invalid item token '-1'"),
+            ("1 S a:b 0.5\n", "snapshot line 1: item token 'a:b' must not contain ':'"),
+        ],
+    )
+    def test_bad_edges_rejected_with_their_line(self, text, needle):
+        with pytest.raises(MiningError, match=needle):
+            USeqTrie.from_snapshot(text)
+
     def test_zero_wes_accepted(self):
         assert USeqTrie.from_snapshot("1 S a 0.0\n").get_wes(P("(a)")) == 0.0
 
