@@ -79,11 +79,11 @@ def _db_stats(db: UncertainDatabase) -> tuple[int, int, float]:
     return db.size, len(db.alphabet()), avg
 
 
-def _write_report(path: str, row: dict) -> None:
+def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _emit_patterns(patterns: list[ScoredPattern], out: str | None, fmt: str) -> None:
@@ -104,26 +104,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _emit_patterns(patterns, args.out, args.format)
     if args.report:
         size, distinct, avg = _db_stats(db)
-        _write_report(
-            args.report,
-            {
-                "command": "mine",
-                "db": args.db,
-                "weights": args.weights,
-                "min_sup": p.min_sup,
-                "wgt_fct": p.wgt_fct,
-                "mu": p.mu,
-                "db_size": size,
-                "distinct_items": distinct,
-                "avg_length": f"{avg:.3f}",
-                "candidates": stats.candidates,
-                "false_positives": stats.false_positives,
-                "frequent": len(patterns),
-                "grow_ms": f"{stats.grow_ms:.3f}",
-                "verify_ms": f"{stats.verify_ms:.3f}",
-                "total_ms": f"{total_ms:.3f}",
-            },
-        )
+        row = {
+            "command": "mine",
+            "db": args.db,
+            "weights": args.weights,
+            "min_sup": p.min_sup,
+            "wgt_fct": p.wgt_fct,
+            "mu": p.mu,
+            "db_size": size,
+            "distinct_items": distinct,
+            "avg_length": f"{avg:.3f}",
+            "candidates": stats.candidates,
+            "false_positives": stats.false_positives,
+            "frequent": len(patterns),
+            "grow_ms": f"{stats.grow_ms:.3f}",
+            "verify_ms": f"{stats.verify_ms:.3f}",
+            "total_ms": f"{total_ms:.3f}",
+        }
+        _write_csv(args.report, REPORT_FIELDS, [row])
     return 0
 
 
@@ -233,10 +231,7 @@ def cmd_inc(args: argparse.Namespace) -> int:
         if args.checkpoint:
             incremental.save_state(state, args.checkpoint)
 
-    with open(os.path.join(args.out_dir, "report.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=INC_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(args.out_dir, "report.csv"), INC_FIELDS, rows)
     return 0
 
 
@@ -290,10 +285,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "ms": f"{best_ms:.3f}",
                 }
             )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(args.out, BENCH_FIELDS, rows)
     return 0
 
 

@@ -1,14 +1,17 @@
 """Incremental maintenance of the weighted frequent set as a database grows.
 
-Two strategies share one state object:
+Two strategies share one state object and one fold (``_fold``): every
+tracked pattern, in both tries, gets the increment's contributions in one
+scan per trie, and the database size and WAM sums grow with it.
 
-* ``uwsinc_step``: rescan nothing; add each increment's contributions to the
-  tracked patterns, refresh the thresholds, and drop what fell under the
-  buffered threshold. Dropped patterns are gone for good.
+* ``uwsinc_step``: rescan nothing; fold the increment, then drop from
+  ``seq_trie`` what fell under the buffered threshold minWES'. Dropped
+  patterns are gone for good.
 * ``uwsincplus_step``: additionally mine the increment itself for locally
-  frequent patterns and keep a second buffer of "promising" patterns that sit
-  between the local threshold and the buffered global one, so patterns that
-  surge later can still be picked up.
+  frequent patterns. One rule then places every tracked pattern and every
+  locally frequent newcomer: ``seq_trie`` if it meets minWES', else the
+  "promising" ``pfs_trie`` if it meets the local threshold, else neither. So
+  patterns that surge later can still be picked up.
 
 Patterns that enter through the local route carry only their support since
 entry; their earlier occurrences are never rescanned, so reported values
@@ -22,6 +25,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+from . import dataio
 from .fuws import mine_trie
 from .model import (
     MiningError,
@@ -72,66 +76,54 @@ def init_mining(
 def _check_weights(delta: UncertainDatabase, weights: WeightTable) -> None:
     """Raise ``MissingWeightError`` for the first item of ``delta`` without a weight.
 
-    Steps call this before touching any state, so a rejected increment leaves
-    the state as it was.
+    ``uwsinc_step`` calls this before touching any state, so a rejected
+    increment leaves the state as it was.
     """
     for item in delta.alphabet():
         weights.weight(item)
 
 
+def _fold(state: IncrementalState, delta: UncertainDatabase) -> Thresholds:
+    """Add ``delta`` to every tracked pattern and to the database counts;
+    returns the thresholds over the grown database."""
+    for trie in (state.seq_trie, state.pfs_trie):
+        if trie.pattern_count:
+            sup_calc(trie, delta, state.weights)
+    state.db_size += delta.size
+    state.wam_acc.add(delta, state.weights)
+    return state.thresholds()
+
+
 def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment into the tracked set; returns the frequent patterns."""
     _check_weights(delta, state.weights)
-    sup_calc(state.seq_trie, delta, state.weights)
-    state.db_size += delta.size
-    state.wam_acc.add(delta, state.weights)
-    th = state.thresholds()
+    th = _fold(state, delta)
     state.seq_trie.prune_below(th.min_wes_prime)
     return state.seq_trie.collect(th.min_wes)
 
 
-def _local_min_sup(params: MiningParams) -> float:
-    """The support fraction an increment is mined at on its own."""
-    return params.lwes_factor * params.min_sup * params.mu
-
-
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
-    """Fold one increment, keeping the promising buffer; returns the frequent set."""
-    _check_weights(delta, state.weights)
-    lfs_trie, local = mine_trie(
-        delta, state.weights, _local_min_sup(state.params), state.params.wgt_fct
-    )
-    lwes = local.min_wes
-    sup_calc(state.seq_trie, delta, state.weights)
-    sup_calc(state.pfs_trie, delta, state.weights)
-    state.db_size += delta.size
-    state.wam_acc.add(delta, state.weights)
-    th = state.thresholds()
+    """Fold one increment, keeping the promising buffer; returns the frequent set.
 
-    # Demote or drop tracked patterns that fell under the buffered threshold.
-    for pat, wes in list(state.seq_trie.patterns()):
-        if not meets(wes, th.min_wes_prime):
-            state.seq_trie.remove(pat)
-            if meets(wes, lwes):
-                state.pfs_trie.insert(pat, wes)
-    # Promote or expire promising patterns.
-    for pat, wes in list(state.pfs_trie.patterns()):
-        if meets(wes, th.min_wes_prime):
-            state.pfs_trie.remove(pat)
-            state.seq_trie.insert(pat, wes)
-        elif not meets(wes, lwes):
-            state.pfs_trie.remove(pat)
-    # Route locally frequent newcomers; existing patterns already got the
-    # increment via the scans above and keep their longer history.
-    for pat, wes in lfs_trie.patterns():
-        if pat in state.seq_trie or pat in state.pfs_trie:
-            continue
-        if meets(wes, th.min_wes_prime):
-            state.seq_trie.insert(pat, wes)
-        elif meets(wes, lwes):
-            state.pfs_trie.insert(pat, wes)
-
-    return state.seq_trie.collect(th.min_wes)
+    The local mine runs first and rejects an unweighted item before any state
+    changes. A tracked pattern keeps its longer history; a newcomer enters
+    with its support in ``delta`` alone.
+    """
+    p = state.params
+    lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
+    th = _fold(state, delta)
+    seq, pfs = state.seq_trie, state.pfs_trie
+    placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
+    placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()
+               if pat not in seq and pat not in pfs]
+    for pat, wes, trie in placed:
+        home = seq if meets(wes, th.min_wes_prime) else pfs if meets(wes, local.min_wes) else None
+        if home is not trie:
+            if trie is not None:
+                trie.remove(pat)
+            if home is not None:
+                home.insert(pat, wes)
+    return seq.collect(th.min_wes)
 
 
 # -- checkpointing ---------------------------------------------------------
@@ -184,13 +176,10 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     """Read a checkpoint written by ``save_state`` with the same weight table.
 
     Raises ``MiningError`` for another format version, for a state mined
-    with other weights, and for a malformed file.
+    with other weights, for a pattern held in both tries, and for a malformed
+    file; a byte that is not UTF-8 raises ``ParseError`` naming its line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MiningError(f"checkpoint {path} is not UTF-8 text: {exc.reason}") from None
+    lines = [line.rstrip("\n") for _, line in dataio._lines(path)]
     if not lines:
         raise MiningError(f"empty checkpoint {path}")
     head = lines[0].split()
@@ -226,6 +215,9 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
         raise MiningError("checkpoint missing trie sections") from None
     seq_trie = USeqTrie.from_snapshot("\n".join(lines[seq_at + 1 : pfs_at]))
     pfs_trie = USeqTrie.from_snapshot("\n".join(lines[pfs_at + 1 :]))
+    for pat, _ in pfs_trie.patterns():
+        if pat in seq_trie:
+            raise MiningError(f"checkpoint holds {dataio.format_pattern(pat)} in both tries")
     return IncrementalState(
         seq_trie=seq_trie,
         pfs_trie=pfs_trie,

@@ -183,8 +183,12 @@ class USeqTrie:
 
     @staticmethod
     def from_snapshot(text: str) -> "USeqTrie":
+        """Read ``snapshot`` text back; a line no snapshot could hold is a
+        ``MiningError`` naming it. A ``-`` node must have a child, which in
+        preorder is the next line."""
         trie = USeqTrie()
         stack = [trie.root]
+        last = 0  # number of the line that made ``stack[-1]``
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -200,6 +204,8 @@ class USeqTrie:
                 raise MiningError(f"snapshot line {lineno}: bad edge kind {kind!r}")
             if depth < 1 or depth > len(stack):
                 raise MiningError(f"snapshot line {lineno}: depth {depth} breaks preorder")
+            if depth != len(stack) and not stack[-1].is_pattern:
+                raise MiningError(f"snapshot line {last}: '-' node has no child")
             if depth == 1 and kind == "I":
                 raise MiningError(f"snapshot line {lineno}: root edges must be S")
             del stack[depth:]
@@ -226,6 +232,9 @@ class USeqTrie:
                 trie.pattern_count += 1
             parent.children[(kind, item)] = node
             stack.append(node)
+            last = lineno
+        if len(stack) > 1 and not stack[-1].is_pattern:
+            raise MiningError(f"snapshot line {last}: '-' node has no child")
         return trie
 
 

@@ -211,7 +211,9 @@ class TestInc:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "snapshot", ["1 S b 0.75\n2 I a 0.375", "1 S a 0.75\n1 S a 0.5", "1 S b -\n2 S -1 0.5"]
+        "snapshot",
+        ["1 S b 0.75\n2 I a 0.375", "1 S a 0.75\n1 S a 0.5", "1 S b -\n2 S -1 0.5",
+         "1 S a 0.75\n2 S b -\n1 S c 0.5"],
     )
     def test_checkpoint_with_bad_edge_refused(self, files, tmp_path, capsys, snapshot):
         ck = tmp_path / "state.ck"
@@ -229,6 +231,23 @@ class TestInc:
         assert err.startswith("error: snapshot line 2: ")
         assert "Traceback" not in err
         assert ck.read_text() == before
+
+    def test_checkpoint_with_pattern_in_both_tries_refused(self, files, tmp_path, capsys):
+        ck = tmp_path / "state.ck"
+        flags = ["--algo", "uwsinc+", "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0",
+                 "--weights", files["w"], "--checkpoint", str(ck)]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"], *flags,
+                     "--out-dir", str(tmp_path / "run1")]) == 0
+        head, _ = ck.read_text().split("\n", 1)
+        ck.write_text(f"{head}\n[seq-trie]\n1 S a 0.5\n[pfs-trie]\n1 S a 0.5\n")
+        before = ck.read_bytes()
+        capsys.readouterr()
+        assert main(["inc", "--delta", files["d2"], *flags,
+                     "--out-dir", str(tmp_path / "run2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint holds (a) in both tries")
+        assert "Traceback" not in err
+        assert ck.read_bytes() == before
 
     def test_init_with_existing_checkpoint_refused(self, files, tmp_path, capsys):
         ck = str(tmp_path / "state.ck")
@@ -375,7 +394,7 @@ class TestNumberFlags:
 
 
 class TestNotUtf8:
-    """A 0xff byte on line 2 of any input file is a data error (exit 1), not a traceback."""
+    """A 0xff byte in any input file is a data error (exit 1) naming its line, not a traceback."""
 
     BAD = {
         "db": b"a:0.5 -1 -2\na:0.5 \xff -1 -2\n",
@@ -406,5 +425,4 @@ class TestNotUtf8:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err
-        if kind != "checkpoint":
-            assert f"{bad}:2:" in err
+        assert f"{bad}:{1 if kind == 'checkpoint' else 2}:" in err

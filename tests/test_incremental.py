@@ -20,6 +20,8 @@ from useqmine import (
     uwsincplus_step,
 )
 from useqmine import incremental
+from useqmine.fuws import mine_trie
+from useqmine.trie import sup_calc
 
 from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
@@ -304,6 +306,83 @@ def state_fingerprint(state):
     )
 
 
+def test_uwsinc_resumed_from_plus_state_folds_promising(
+    sample_db, sample_weights, delta1, delta2, tmp_path
+):
+    """``uwsinc_step`` on a uwsinc+ checkpoint still adds each increment to
+    the promising patterns, which it neither promotes nor drops."""
+    state = init_mining(sample_db, sample_weights, PARAMS)
+    uwsincplus_step(state, delta1)
+    path = str(tmp_path / "ck.txt")
+    save_state(state, path)
+    resumed = load_state(path, sample_weights)
+    promising = set(dict(resumed.pfs_trie.patterns()))
+    # Both entered through delta1's local mine: each holds f, which sample_db lacks.
+    assert promising == {P("(a)(f)"), P("(f)(c)")}
+    uwsinc_step(resumed, delta2)
+    since = UncertainDatabase.concat([delta1, delta2])
+    got = dict(resumed.pfs_trie.patterns())
+    assert set(got) == promising
+    for pat, wes in got.items():
+        assert wes == pytest.approx(oracle_wes(pat, since, sample_weights), abs=1e-9)
+
+
+def three_loop_plus_step(state, delta):
+    """``uwsincplus_step`` as three loops (demote, promote or expire, admit),
+    the form the single placement rule replaced; the reference it must match."""
+    p = state.params
+    lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
+    lwes = local.min_wes
+    sup_calc(state.seq_trie, delta, state.weights)
+    sup_calc(state.pfs_trie, delta, state.weights)
+    state.db_size += delta.size
+    state.wam_acc.add(delta, state.weights)
+    th = state.thresholds()
+    for pat, wes in list(state.seq_trie.patterns()):
+        if not meets(wes, th.min_wes_prime):
+            state.seq_trie.remove(pat)
+            if meets(wes, lwes):
+                state.pfs_trie.insert(pat, wes)
+    for pat, wes in list(state.pfs_trie.patterns()):
+        if meets(wes, th.min_wes_prime):
+            state.pfs_trie.remove(pat)
+            state.seq_trie.insert(pat, wes)
+        elif not meets(wes, lwes):
+            state.pfs_trie.remove(pat)
+    for pat, wes in lfs_trie.patterns():
+        if pat in state.seq_trie or pat in state.pfs_trie:
+            continue
+        if meets(wes, th.min_wes_prime):
+            state.seq_trie.insert(pat, wes)
+        elif meets(wes, lwes):
+            state.pfs_trie.insert(pat, wes)
+    return state.seq_trie.collect(th.min_wes)
+
+
+def test_placement_rule_matches_three_loops():
+    rng = random.Random(2404)
+    moves = dict.fromkeys(("promoted", "demoted", "expired", "admitted"), 0)
+    for _ in range(40):
+        wt = random_weights(rng)
+        params = MiningParams(min_sup=rng.choice([0.2, 0.3, 0.4]), wgt_fct=1.0,
+                              mu=rng.choice([0.5, 0.7, 1.0]),
+                              lwes_factor=rng.choice([0.5, 1.0, 2.0]))
+        init_db = random_db(rng, max_seqs=10, min_seqs=4)
+        got, want = init_mining(init_db, wt, params), init_mining(init_db, wt, params)
+        for _ in range(4):
+            delta = random_db(rng, max_seqs=5, min_seqs=0)
+            seq0, pfs0 = set(dict(want.seq_trie.patterns())), set(dict(want.pfs_trie.patterns()))
+            assert uwsincplus_step(got, delta) == three_loop_plus_step(want, delta)
+            assert state_fingerprint(got) == state_fingerprint(want)
+            seq1, pfs1 = set(dict(want.seq_trie.patterns())), set(dict(want.pfs_trie.patterns()))
+            moves["promoted"] += len(pfs0 & seq1)
+            moves["demoted"] += len(seq0 & pfs1)
+            moves["expired"] += len((seq0 | pfs0) - (seq1 | pfs1))
+            moves["admitted"] += len((seq1 | pfs1) - (seq0 | pfs0))
+    # The streams exercise every kind of move the rule makes.
+    assert all(moves.values()), moves
+
+
 @pytest.mark.parametrize("step", [uwsinc_step, uwsincplus_step])
 def test_delta_with_unweighted_item_leaves_state_unchanged(step, tmp_path):
     init = db_from_text(tmp_path, "a:0.9 -1 b:0.8 -1 -2\n" * 4, "init.txt")
@@ -440,6 +519,7 @@ class TestCheckpointNumbers:
             ("1 S b 0.75\n2 I a 0.375\n", "snapshot line 2: I-edge"),
             ("1 S a 0.75\n1 S a 0.5\n", "snapshot line 2: repeated edge"),
             ("1 S -1 0.75\n", "snapshot line 1: invalid item token"),
+            ("1 S a -\n1 S b 0.5\n", "snapshot line 1: '-' node has no child"),
         ],
     )
     def test_bad_snapshot_edges(self, checkpoint, sample_weights, snapshot, needle):
@@ -447,6 +527,13 @@ class TestCheckpointNumbers:
         checkpoint.write_text(f"{head}\n{incremental.CHECKPOINT_SEQ}\n{snapshot}"
                               f"{incremental.CHECKPOINT_PFS}\n")
         with pytest.raises(MiningError, match=needle):
+            load_state(str(checkpoint), sample_weights)
+
+    def test_pattern_in_both_tries(self, checkpoint, sample_weights):
+        head = checkpoint.read_text().split("\n", 1)[0]
+        checkpoint.write_text(f"{head}\n{incremental.CHECKPOINT_SEQ}\n1 S a -\n2 S b 0.5\n"
+                              f"{incremental.CHECKPOINT_PFS}\n1 S c 0.25\n1 S a -\n2 S b 0.5\n")
+        with pytest.raises(MiningError, match=r"checkpoint holds \(a\)\(b\) in both tries"):
             load_state(str(checkpoint), sample_weights)
 
 

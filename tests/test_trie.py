@@ -228,6 +228,10 @@ class TestSnapshot:
             ("1 S a 0.5\n2 S b 0.25\n1 S a 0.5\n", "snapshot line 3: repeated edge S 'a'"),
             ("1 S a 0.5\n2 S -1 0.25\n", "snapshot line 2: invalid item token '-1'"),
             ("1 S a:b 0.5\n", "snapshot line 1: item token 'a:b' must not contain ':'"),
+            # ``remove`` and ``prune_below`` drop a childless '-' node; no save writes one.
+            ("1 S a -\n1 S b 0.5\n", "snapshot line 1: '-' node has no child"),
+            ("1 S a 0.5\n2 S b -\n", "snapshot line 2: '-' node has no child"),
+            ("1 S a -\n2 S b -\n1 S c 0.5\n", "snapshot line 2: '-' node has no child"),
         ],
     )
     def test_bad_edges_rejected_with_their_line(self, text, needle):
