@@ -26,40 +26,6 @@ from .model import (
 )
 from .oracle import OracleSizeError, oracle_mine
 
-REPORT_FIELDS = [
-    "command",
-    "db",
-    "weights",
-    "min_sup",
-    "wgt_fct",
-    "mu",
-    "db_size",
-    "distinct_items",
-    "avg_length",
-    "candidates",
-    "false_positives",
-    "frequent",
-    "grow_ms",
-    "verify_ms",
-    "total_ms",
-]
-
-INC_FIELDS = [
-    "step",
-    "algo",
-    "delta",
-    "delta_size",
-    "db_size",
-    "wam",
-    "min_wes",
-    "fs_count",
-    "step_ms",
-    "completeness",
-]
-
-BENCH_FIELDS = ["bound", "min_sup", "candidates", "frequent", "false_pct", "ms"]
-
-
 class UsageError(Exception):
     pass
 
@@ -79,9 +45,10 @@ def _db_stats(db: UncertainDatabase) -> tuple[int, int, float]:
     return db.size, len(db.alphabet()), avg
 
 
-def _write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Write ``rows`` under a header of the first row's keys, which every row shares."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -121,7 +88,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "verify_ms": f"{stats.verify_ms:.3f}",
             "total_ms": f"{total_ms:.3f}",
         }
-        _write_csv(args.report, REPORT_FIELDS, [row])
+        _write_csv(args.report, [row])
     return 0
 
 
@@ -231,7 +198,7 @@ def cmd_inc(args: argparse.Namespace) -> int:
         if args.checkpoint:
             incremental.save_state(state, args.checkpoint)
 
-    _write_csv(os.path.join(args.out_dir, "report.csv"), INC_FIELDS, rows)
+    _write_csv(os.path.join(args.out_dir, "report.csv"), rows)
     return 0
 
 
@@ -285,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "ms": f"{best_ms:.3f}",
                 }
             )
-    _write_csv(args.out, BENCH_FIELDS, rows)
+    _write_csv(args.out, rows)
     return 0
 
 
@@ -296,14 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mine = sub.add_parser("mine", help="mine a static database")
-    p_mine.add_argument("--db", required=True)
-    p_mine.add_argument("--weights", required=True)
-    p_mine.add_argument("--min-sup", type=float, required=True)
-    p_mine.add_argument("--wgt-fct", type=float, required=True)
-    p_mine.add_argument("--mu", type=float, default=1.0)
-    p_mine.add_argument("--out")
-    p_mine.add_argument("--format", choices=["tsv", "json-lines"], default="tsv")
+    # The flags mine and oracle share; oracle takes exactly these.
+    static = argparse.ArgumentParser(add_help=False)
+    static.add_argument("--db", required=True)
+    static.add_argument("--weights", required=True)
+    static.add_argument("--min-sup", type=float, required=True)
+    static.add_argument("--wgt-fct", type=float, required=True)
+    static.add_argument("--mu", type=float, default=1.0)
+    static.add_argument("--out")
+    static.add_argument("--format", choices=["tsv", "json-lines"], default="tsv")
+
+    p_mine = sub.add_parser("mine", parents=[static], help="mine a static database")
     p_mine.add_argument("--report")
     p_mine.set_defaults(fn=cmd_mine)
 
@@ -333,14 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-weights", required=True)
     p_gen.set_defaults(fn=cmd_gen)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force miner (small inputs only)")
-    p_oracle.add_argument("--db", required=True)
-    p_oracle.add_argument("--weights", required=True)
-    p_oracle.add_argument("--min-sup", type=float, required=True)
-    p_oracle.add_argument("--wgt-fct", type=float, required=True)
-    p_oracle.add_argument("--mu", type=float, default=1.0)
-    p_oracle.add_argument("--out")
-    p_oracle.add_argument("--format", choices=["tsv", "json-lines"], default="tsv")
+    p_oracle = sub.add_parser(
+        "oracle", parents=[static], help="brute-force miner (small inputs only)"
+    )
     p_oracle.set_defaults(fn=cmd_oracle)
 
     p_bench = sub.add_parser("bench", help="compare pruning bounds across thresholds")

@@ -72,7 +72,7 @@ from .model import (
     meets,
     single,
 )
-from .trie import USeqTrie, sup_calc
+from .trie import USeqTrie, _edges, sup_calc
 
 Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
 
@@ -459,11 +459,7 @@ def pattern_max_pr(pdb: PreprocessedDB, pattern: Pattern) -> float:
     """
     proj = root_projection(pdb)
     maxpr = 1.0
-    steps: list[tuple[ItemId, ExtKind]] = []
-    for ev in pattern.events:
-        steps.append((ev[0], "S"))
-        steps.extend((it, "I") for it in ev[1:])
-    for item, kind in steps:
+    for kind, item in _edges(pattern):
         hit = next((c for c in determine(pdb, proj) if c.item == item and c.kind == kind), None)
         if hit is None:
             return 0.0

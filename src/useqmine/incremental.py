@@ -1,12 +1,15 @@
 """Incremental maintenance of the weighted frequent set as a database grows.
 
-Two strategies share one state object and one fold (``_fold``): every
-tracked pattern, in both tries, gets the increment's contributions in one
-scan per trie, and the database size and WAM sums grow with it.
+Two strategies share one state object and one fold (``_fold``): the WAM
+sums grow first, and they reject an increment holding an item without a
+weight before any state changes; then every tracked pattern, in both tries,
+gets the increment's contributions in one scan per trie, and the database
+size grows with it.
 
 * ``uwsinc_step``: rescan nothing; fold the increment, then drop from
   ``seq_trie`` what fell under the buffered threshold minWES'. Dropped
-  patterns are gone for good.
+  patterns are gone for good. It keeps no promising buffer, and empties one
+  loaded from a uwsinc+ checkpoint.
 * ``uwsincplus_step``: additionally mine the increment itself for locally
   frequent patterns. One rule then places every tracked pattern and every
   locally frequent newcomer: ``seq_trie`` if it meets minWES', else the
@@ -44,7 +47,7 @@ from .trie import USeqTrie, sup_calc
 @dataclass
 class IncrementalState:
     seq_trie: USeqTrie  # frequent + semi-frequent, tracked exactly
-    pfs_trie: USeqTrie  # promising buffer (uwsincplus only)
+    pfs_trie: USeqTrie  # promising buffer; uwsinc_step empties it
     db_size: int
     wam_acc: WamAccumulator
     params: MiningParams
@@ -73,31 +76,22 @@ def init_mining(
     )
 
 
-def _check_weights(delta: UncertainDatabase, weights: WeightTable) -> None:
-    """Raise ``MissingWeightError`` for the first item of ``delta`` without a weight.
-
-    ``uwsinc_step`` calls this before touching any state, so a rejected
-    increment leaves the state as it was.
-    """
-    for item in delta.alphabet():
-        weights.weight(item)
-
-
 def _fold(state: IncrementalState, delta: UncertainDatabase) -> Thresholds:
-    """Add ``delta`` to every tracked pattern and to the database counts;
-    returns the thresholds over the grown database."""
+    """Add ``delta`` to the database counts and to every tracked pattern;
+    returns the thresholds over the grown database. The WAM sums go first:
+    they raise ``MissingWeightError`` before anything changes."""
+    state.wam_acc.add(delta, state.weights)
     for trie in (state.seq_trie, state.pfs_trie):
         if trie.pattern_count:
             sup_calc(trie, delta, state.weights)
     state.db_size += delta.size
-    state.wam_acc.add(delta, state.weights)
     return state.thresholds()
 
 
 def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment into the tracked set; returns the frequent patterns."""
-    _check_weights(delta, state.weights)
     th = _fold(state, delta)
+    state.pfs_trie = USeqTrie()  # after the fold, which may still reject delta
     state.seq_trie.prune_below(th.min_wes_prime)
     return state.seq_trie.collect(th.min_wes)
 

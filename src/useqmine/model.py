@@ -290,8 +290,12 @@ class WamAccumulator:
         return self.weighted_freq_sum / self.freq_sum if self.freq_sum else 0.0
 
     def add(self, db: UncertainDatabase, weights: WeightTable) -> None:
-        for item, freq in db.item_frequencies().items():
-            self.weighted_freq_sum += freq * weights.weight(item)
+        """Add ``db``'s sums; an item without a weight raises
+        ``MissingWeightError`` (the first one in order of first occurrence)
+        before any sum changes."""
+        freqs = [(freq, weights.weight(item)) for item, freq in db.item_frequencies().items()]
+        for freq, w in freqs:
+            self.weighted_freq_sum += freq * w
             self.freq_sum += freq
 
 

@@ -53,6 +53,11 @@ class TestMine:
             P("(a)"), P("(b)"), P("(c)"), P("(a)(a)"), P("(a c)")
         }
         (row,) = read_csv(report)
+        assert list(row) == [
+            "command", "db", "weights", "min_sup", "wgt_fct", "mu", "db_size",
+            "distinct_items", "avg_length", "candidates", "false_positives", "frequent",
+            "grow_ms", "verify_ms", "total_ms",
+        ]
         assert row["db_size"] == "6"
         assert row["distinct_items"] == "5"
         assert int(row["candidates"]) >= int(row["frequent"])
@@ -130,6 +135,10 @@ class TestInc:
         step2 = {sp.pattern for sp in read_patterns_tsv(os.path.join(out_dir, "step_2.tsv"))}
         assert step2 == {P("(a)"), P("(a)(a)"), P("(c)"), P("(c)(a)"), P("(d)"), P("(f)")}
         rows = read_csv(os.path.join(out_dir, "report.csv"))
+        assert list(rows[0]) == [
+            "step", "algo", "delta", "delta_size", "db_size", "wam", "min_wes",
+            "fs_count", "step_ms", "completeness",
+        ]
         assert [r["step"] for r in rows] == ["0", "1", "2"]
         assert rows[1]["fs_count"] == "6"
 
@@ -178,6 +187,22 @@ class TestInc:
         whole = {sp.pattern: sp.wes
                  for sp in read_patterns_tsv(os.path.join(straight, "step_2.tsv"))}
         assert resumed == pytest.approx(whole)
+
+    def test_uwsinc_on_plus_checkpoint_empties_promising(self, files, tmp_path):
+        ck = str(tmp_path / "state.ck")
+        flags = ["--weights", files["w"], "--min-sup", "0.2", "--mu", "0.7",
+                 "--wgt-fct", "1.0", "--checkpoint", ck]
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"],
+                     "--algo", "uwsinc+", "--out-dir", str(tmp_path / "run1")] + flags) == 0
+        assert open(ck).read().split("[pfs-trie]\n")[1] != ""
+        out = str(tmp_path / "run2")
+        assert main(["inc", "--delta", files["d2"], "--algo", "uwsinc",
+                     "--out-dir", out] + flags) == 0
+        assert open(ck).read().endswith("[pfs-trie]\n")
+        assert open(os.path.join(out, "step_1.tsv")).read() == (
+            "(a)\t6.160000\n(a)(a)\t2.264000\n(c)\t5.760000\n"
+            "(c)(a)\t2.822000\n(d)\t2.880000\n(f)\t2.610000\n"
+        )
 
     def test_checkpoint_with_other_weights_refused(self, files, tmp_path, capsys):
         ck = str(tmp_path / "state.ck")

@@ -306,25 +306,24 @@ def state_fingerprint(state):
     )
 
 
-def test_uwsinc_resumed_from_plus_state_folds_promising(
+def test_uwsinc_resumed_from_plus_state_drops_promising(
     sample_db, sample_weights, delta1, delta2, tmp_path
 ):
-    """``uwsinc_step`` on a uwsinc+ checkpoint still adds each increment to
-    the promising patterns, which it neither promotes nor drops."""
+    """``uwsinc_step`` on a uwsinc+ checkpoint empties the promising buffer;
+    its result and ``seq_trie`` are those of a state that never held one."""
     state = init_mining(sample_db, sample_weights, PARAMS)
     uwsincplus_step(state, delta1)
     path = str(tmp_path / "ck.txt")
     save_state(state, path)
     resumed = load_state(path, sample_weights)
-    promising = set(dict(resumed.pfs_trie.patterns()))
     # Both entered through delta1's local mine: each holds f, which sample_db lacks.
-    assert promising == {P("(a)(f)"), P("(f)(c)")}
-    uwsinc_step(resumed, delta2)
-    since = UncertainDatabase.concat([delta1, delta2])
-    got = dict(resumed.pfs_trie.patterns())
-    assert set(got) == promising
-    for pat, wes in got.items():
-        assert wes == pytest.approx(oracle_wes(pat, since, sample_weights), abs=1e-9)
+    assert set(dict(resumed.pfs_trie.patterns())) == {P("(a)(f)"), P("(f)(c)")}
+    bare = load_state(path, sample_weights)
+    bare.pfs_trie = USeqTrie()
+    got = uwsinc_step(resumed, delta2)
+    assert resumed.pfs_trie.pattern_count == 0
+    assert got == uwsinc_step(bare, delta2)
+    assert state_fingerprint(resumed) == state_fingerprint(bare)
 
 
 def three_loop_plus_step(state, delta):
@@ -384,11 +383,15 @@ def test_placement_rule_matches_three_loops():
 
 
 @pytest.mark.parametrize("step", [uwsinc_step, uwsincplus_step])
-def test_delta_with_unweighted_item_leaves_state_unchanged(step, tmp_path):
-    init = db_from_text(tmp_path, "a:0.9 -1 b:0.8 -1 -2\n" * 4, "init.txt")
-    delta = db_from_text(tmp_path, "a:0.9 -1 z:0.5 -1 -2\n", "delta.txt")
-    state = init_mining(init, WeightTable({"a": 0.5, "b": 0.8}), PARAMS)
+def test_delta_with_unweighted_item_leaves_state_unchanged(
+    step, sample_db, sample_weights, delta1, tmp_path
+):
+    state = init_mining(sample_db, sample_weights, PARAMS)
+    uwsincplus_step(state, delta1)
     assert P("(a)") in state.seq_trie
+    assert state.pfs_trie.pattern_count
+    # Unweighted z occurs before unweighted y; the error names the first to occur.
+    delta = db_from_text(tmp_path, "a:0.9 -1 z:0.5 -1 -2\ny:0.4 -1 a:0.8 -1 -2\n", "delta.txt")
     before = state_fingerprint(state)
     with pytest.raises(MissingWeightError, match="'z'"):
         step(state, delta)
