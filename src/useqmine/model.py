@@ -17,9 +17,6 @@ EPS = 1e-9
 ItemId = str
 ExtKind = Literal["S", "I"]
 
-S_EXT: ExtKind = "S"
-I_EXT: ExtKind = "I"
-
 # Tokens with structural meaning in the sequence file format.
 RESERVED_TOKENS = frozenset({"-1", "-2"})
 
@@ -59,8 +56,9 @@ def check_item_token(token: str) -> str:
     if not token or token in RESERVED_TOKENS:
         raise MiningError(f"invalid item token {token!r}")
     # ``split`` cuts at exactly the characters ``isspace`` accepts, in C.
-    if ":" in token or token.split() != [token]:
-        raise MiningError(f"item token {token!r} must not contain ':' or whitespace")
+    # Parentheses delimit a pattern's itemsets when it is written out.
+    if ":" in token or "(" in token or ")" in token or token.split() != [token]:
+        raise MiningError(f"item token {token!r} must not contain ':', '(', ')' or whitespace")
     return token
 
 
@@ -219,9 +217,9 @@ def extend(pattern: Pattern, item: ItemId, kind: ExtKind) -> Pattern:
     I-extension requires the item to sort strictly after every item already in
     the final itemset, mirroring the ascending order inside events.
     """
-    if kind == S_EXT:
+    if kind == "S":
         return Pattern(pattern.events + ((item,),))
-    if kind == I_EXT:
+    if kind == "I":
         last = pattern.events[-1]
         if item <= last[-1]:
             raise ValueError(
@@ -301,7 +299,6 @@ class WamAccumulator:
 
 @dataclass(frozen=True)
 class Thresholds:
-    db_size: int
     wam: float
     min_wes: float
     min_wes_prime: float
@@ -310,4 +307,4 @@ class Thresholds:
     def compute(min_sup: float, db_size: int, wam: float, wgt_fct: float, mu: float) -> "Thresholds":
         """The one definition of minWES; minWES' scales it by the buffer ratio mu."""
         min_wes = min_sup * db_size * wam * wgt_fct
-        return Thresholds(db_size=db_size, wam=wam, min_wes=min_wes, min_wes_prime=min_wes * mu)
+        return Thresholds(wam=wam, min_wes=min_wes, min_wes_prime=min_wes * mu)

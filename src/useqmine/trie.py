@@ -2,7 +2,9 @@
 
 Each stored pattern ends at a marked node carrying a weighted-expected-support
 accumulator. One pass of ``sup_calc`` over a database (or an increment) adds
-every sequence's contribution to every stored pattern in a single scan.
+every sequence's contribution to every stored pattern in a single scan; per
+sequence, a node's state is one sparse row of ``(event position, best
+embedding probability)`` pairs, one per event where its pattern can end.
 
 Nodes that are only prefixes of stored patterns are kept unmarked: pruning can
 leave sets that are not prefix-closed (a super-pattern may stay frequent while
@@ -29,8 +31,10 @@ from .model import (
     WeightTable,
     check_item_token,
     check_nonnegative,
+    extend,
     item_index,
     meets,
+    single,
 )
 
 
@@ -51,16 +55,6 @@ def _edges(pattern: Pattern) -> list[tuple[ExtKind, ItemId]]:
         edges.append(("S", ev[0]))
         edges.extend(("I", it) for it in ev[1:])
     return edges
-
-
-def _pattern_of(path: list[TrieNode]) -> Pattern:
-    events: list[tuple[ItemId, ...]] = []
-    for node in path:
-        if node.kind == "S":
-            events.append((node.item,))
-        else:
-            events[-1] = events[-1] + (node.item,)
-    return Pattern(tuple(events))
 
 
 class USeqTrie:
@@ -137,12 +131,12 @@ class USeqTrie:
 
     def patterns(self):
         """Yield (Pattern, wes) in depth-first order, I-edges before S-edges."""
-        path: list[TrieNode] = []
+        path: list[Pattern] = []
         for depth, _, node in self._preorder():
             del path[depth - 1 :]
-            path.append(node)
+            path.append(extend(path[-1], node.item, node.kind) if path else single(node.item))
             if node.is_pattern:
-                yield _pattern_of(path), node.wes
+                yield path[-1], node.wes
 
     def collect(self, min_wes: float) -> list[ScoredPattern]:
         return [
@@ -241,14 +235,15 @@ class USeqTrie:
 def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -> None:
     """Add each sequence's contribution to every stored pattern's wes.
 
-    Per sequence, each node carries an array indexed by event position: the
-    value at position m is the best probability of embedding the node's
-    pattern with its last item matched in event m. An S-edge child takes the
-    parent's best value over strictly earlier events times the item's
-    probability in event m; an I-edge child multiplies the parent's value at
-    the same event (nonzero only where the whole open itemset fits). The
-    node's contribution for the sequence is the array maximum times the
-    running mean item weight carried down the walk.
+    Per sequence, each node carries a row: ascending ``(event position,
+    value)`` pairs, one per event where the node's pattern embeds with its
+    last item in that event, the value being the best such embedding's
+    probability. The root's row is ``((-1, 1.0),)``: the empty prefix embeds
+    before any event. An S-edge child scores each occurrence of its item by
+    the parent's best value at strictly earlier positions, a running maximum
+    carried by one pointer along the row; an I-edge child by the parent's
+    value at the same position. The node's contribution for the sequence is
+    its best value times the running mean item weight carried down the walk.
 
     The sequence is read through ``item_index``: a child whose item the
     sequence lacks is skipped with one dict miss, together with its whole
@@ -260,39 +255,34 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     """
     for seq in db_part.sequences:
         index = item_index(seq)
-        # Virtual empty prefix: embeddable before any event.
-        ones = [1.0] * len(seq.events)
-        stack = [(trie.root, ones, ones, 0.0, 0)]
+        end = (len(seq.events), 0.0)  # past every position
+        stack = [(trie.root, ((-1, 1.0),), 0.0, 0)]
         while stack:
-            node, ar, before_max, wgt_sum, itm_cnt = stack.pop()
+            node, row, wgt_sum, itm_cnt = stack.pop()
             for (kind, item), child in node.children.items():
                 occ = index.get(item)
                 if occ is None:
                     continue
-                src = before_max if kind == "S" else ar
-                grow = bool(child.children)
-                cur: list[float] | None = None
-                best = 0.0
+                s_step = kind == "S"
+                child_row = []
+                best = run = 0.0
+                rest = iter(row)
+                pos, val = next(rest)
                 for k, p in occ:
-                    b = src[k]
+                    while pos < k:
+                        if val > run:
+                            run = val
+                        pos, val = next(rest, end)
+                    b = run if s_step else val if pos == k else 0.0
                     if b > 0.0:
                         v = p * b
                         if v > best:
                             best = v
-                        if grow:
-                            if cur is None:
-                                cur = [0.0] * len(src)
-                            cur[k] = v
+                        child_row.append((k, v))
                 if best > 0.0:
                     cw = wgt_sum + weights.weight(item)
                     cc = itm_cnt + 1
                     if child.is_pattern:
                         child.wes += best * (cw / cc)
-                    if cur is not None:
-                        cbm = [0.0] * len(cur)
-                        run = 0.0
-                        for k in range(len(cur)):
-                            cbm[k] = run
-                            if cur[k] > run:
-                                run = cur[k]
-                        stack.append((child, cur, cbm, cw, cc))
+                    if child.children:
+                        stack.append((child, child_row, cw, cc))

@@ -77,11 +77,17 @@ class TestMine:
                      "--min-sup", "1.1", "--wgt-fct", "1.0"]) == 2
         assert main(["mine", "--db", files["db"]]) == 2  # missing required flags
 
-    def test_data_error_exit_1(self, files, tmp_path):
+    def test_data_error_exit_1(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("a:2.0 -1 -2\n")
         assert main(["mine", "--db", str(bad), "--weights", files["w"],
                      "--min-sup", "0.2", "--wgt-fct", "1.0"]) == 1
+        # Written out, item "x)(y" would read back as the pattern (x)(y).
+        bad.write_text("a:0.5 -1 -2\nx)(y:0.5 -1 -2\n")
+        capsys.readouterr()
+        assert main(["mine", "--db", str(bad), "--weights", files["w"],
+                     "--min-sup", "0.2", "--wgt-fct", "1.0"]) == 1
+        assert f"{bad}:2: " in capsys.readouterr().err
         assert main(["mine", "--db", str(tmp_path / "missing.txt"), "--weights", files["w"],
                      "--min-sup", "0.2", "--wgt-fct", "1.0"]) == 1
 

@@ -9,6 +9,7 @@ from useqmine import (
     GenConfig,
     MiningError,
     ParseError,
+    Pattern,
     ScoredPattern,
     SplitSpec,
     format_pattern,
@@ -23,6 +24,7 @@ from useqmine import (
     write_weights,
 )
 from useqmine.dataio import Xoshiro256StarStar
+from useqmine.model import check_item_token
 
 from conftest import DB_TEXT, P, random_db
 
@@ -58,6 +60,7 @@ class TestParseDb:
             ("-2", "no events"),
             ("a:0.5 -2 b:0.2 -1 -2", "-2 before end"),
             ("-1:0.5 -1 -2", "invalid item token '-1'"),
+            ("x)(y:0.5 -1 -2", "item token 'x)(y' must not contain"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, line, needle):
@@ -91,7 +94,7 @@ class TestParseWeights:
         assert wt.entries == {"a": 0.8, "b": 1.0}
 
     @pytest.mark.parametrize(
-        "line", ["a 0", "a 1.5", "a x", "a", "a 0.5 extra"]
+        "line", ["a 0", "a 1.5", "a x", "a", "a 0.5 extra", "x)(y 0.5"]
     )
     def test_bad_lines(self, tmp_path, line):
         path = tmp_path / "w.txt"
@@ -325,6 +328,22 @@ class TestSplit:
             SplitSpec(initial_fraction=0.5, ratio_range=(0.1, value), count=2, seed=1)
 
 
+def accepted(token):
+    try:
+        check_item_token(token)
+    except MiningError:
+        return False
+    return True
+
+
+# Item tokens the parsers accept, drawn from text that often holds the
+# characters a written pattern gives meaning to.
+TOKENS = st.text(st.sampled_from("ab()-1: ") | st.characters(), min_size=1, max_size=4).filter(
+    accepted
+)
+ITEMSETS = st.lists(TOKENS, min_size=1, max_size=3, unique=True).map(lambda xs: tuple(sorted(xs)))
+
+
 class TestPatternsFile:
     def test_tsv_shape(self, tmp_path):
         path = tmp_path / "p.tsv"
@@ -344,16 +363,10 @@ class TestPatternsFile:
         row = json.loads(path.read_text())
         assert row == {"events": [["a", "b"], ["c"]], "wes": 1.5}
 
-    def test_pattern_text_round_trip(self):
-        rng = random.Random(23)
-        items = "abcdef"
-        for _ in range(100):
-            events = []
-            for _ in range(rng.randint(1, 4)):
-                k = rng.randint(1, 3)
-                events.append(tuple(sorted(rng.sample(items, k))))
-            pat = P("".join("(" + " ".join(ev) + ")" for ev in events))
-            assert parse_pattern(format_pattern(pat)) == pat
+    @settings(max_examples=150, deadline=None)
+    @given(pat=st.lists(ITEMSETS, min_size=1, max_size=4).map(lambda evs: Pattern(tuple(evs))))
+    def test_pattern_text_round_trip(self, pat):
+        assert parse_pattern(format_pattern(pat)) == pat
 
     @pytest.mark.parametrize("text", ["()", "(a)()", "(b a)", "a"])
     def test_bad_pattern_text(self, text):

@@ -20,6 +20,7 @@ from useqmine import (
     determine,
     max_pr_dynamic,
     mine_trie,
+    oracle_max_pr_s,
     preprocess,
     project,
     root_projection,
@@ -45,13 +46,13 @@ def itemsets(items, min_size=1):
 
 
 @st.composite
-def databases(draw, max_events=6, last_min_size=1):
+def databases(draw, max_events=6, last_min_size=1, items=DB_ITEMS):
     # A small alphabet and up to six events make repeated items across events common.
     seqs = []
     for _ in range(draw(st.integers(1, 5))):
         sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
         events = tuple(
-            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(DB_ITEMS, size))))
+            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(items, size))))
             for size in sizes
         )
         seqs.append(USequence(events))
@@ -263,5 +264,62 @@ def test_sup_calc_matches_dynamic_oracle(db, pats):
         trie.insert(pat)
     sup_calc(trie, db, WEIGHTS)
     for pat in pats:
+        for seq in db:
+            assert oracle_max_pr_s(pat, seq) == max_pr_dynamic(pat, seq)
         want = sum(max_pr_dynamic(pat, seq) for seq in db) * s_weight(pat, WEIGHTS)
         assert trie.get_wes(pat) == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def dense_wes(pat, db, weights, wes):
+    """Reference: ``wes`` plus the pattern's weighted expected support over
+    ``db``, by the dense recurrence ``sup_calc`` kept before its sparse rows.
+
+    Per sequence, each prefix of the pattern has one value per event position:
+    the best probability of embedding the prefix with its last item matched
+    there. An S-item reads the previous prefix's best value at strictly
+    earlier positions, an I-item its value at the same position, and the
+    same float operations run in the same order.
+    """
+    edges = [("I" if k else "S", it) for ev in pat.events for k, it in enumerate(ev)]
+    cw = 0.0
+    for _, item in edges:
+        cw += weights.weight(item)
+    for seq in db:
+        probs = [ev.prob_map() for ev in seq.events]
+        ar = before_max = [1.0] * len(probs)
+        for kind, item in edges:
+            src = before_max if kind == "S" else ar
+            ar = [
+                pm[item] * b if item in pm and b > 0.0 else 0.0 for pm, b in zip(probs, src)
+            ]
+            before_max, run = [], 0.0
+            for v in ar:
+                before_max.append(run)
+                if v > run:
+                    run = v
+        best = max(ar)
+        if best > 0.0:
+            wes += best * (cw / len(edges))
+    return wes
+
+
+DENSE_ITEMS = "abc"  # few items, so most sequences repeat some across events
+dense_patterns = st.lists(itemsets(DENSE_ITEMS), min_size=1, max_size=4).map(
+    lambda evs: Pattern(tuple(evs))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=databases(items=DENSE_ITEMS),
+    stored=st.dictionaries(dense_patterns, st.sampled_from([0.0, 0.375, 2.5]), min_size=1, max_size=8),
+)
+def test_sup_calc_rows_match_dense_recurrence_bit_for_bit(db, stored):
+    # Prefixes of stored patterns that are not stored themselves stay
+    # unmarked nodes; starting values other than 0.0 are an increment's fold.
+    trie = USeqTrie()
+    for pat, wes in stored.items():
+        trie.insert(pat, wes)
+    sup_calc(trie, db, WEIGHTS)
+    for pat, wes in stored.items():
+        assert trie.get_wes(pat) == dense_wes(pat, db, WEIGHTS, wes)

@@ -175,7 +175,8 @@ def test_params_field_constructs_in_range_or_raises(field, value):
 def test_item_token_whitespace_check_agrees_with_isspace(token):
     has_space = any(c.isspace() for c in token)
     assert (token.split() != [token]) == has_space
-    if ":" not in token and token not in ("-1", "-2"):
+    # ':' and the parentheses are rejected on their own, whitespace or not.
+    if not set(":()") & set(token) and token not in ("-1", "-2"):
         try:
             check_item_token(token)
         except MiningError:
