@@ -24,7 +24,6 @@ from .model import (
 from .trie import USeqTrie, sup_calc
 from .fuws import (
     BoundRecord,
-    ExtensionCandidate,
     MineStats,
     PreprocessedDB,
     ProjectedDB,

@@ -358,7 +358,8 @@ def parse_pattern(text: str) -> Pattern:
     text = text.strip()
     if not text.startswith("(") or not text.endswith(")"):
         raise MiningError(f"bad pattern text {text!r}")
-    return Pattern(tuple(tuple(chunk.split()) for chunk in text[1:-1].split(")(")))
+    chunks = text[1:-1].split(")(")
+    return Pattern(tuple(tuple(map(check_item_token, chunk.split())) for chunk in chunks))
 
 
 def pattern_lines(patterns: list[ScoredPattern], fmt: str = "tsv") -> list[str]:

@@ -12,10 +12,11 @@ their last position, latest first. Growth is a pseudo-projection over that
 index (as in PrefixSpan): a projection entry is a (sequence, event) anchor,
 and ``determine`` reads each item's best remaining probability with one
 bisect and stops at the first item whose last occurrence lies before the
-anchor. Each candidate it returns carries the entries its item was read
-from, and growth projects a generated candidate over those entries alone, so
-``project`` touches only sequences that still hold the item and re-anchors
-each with one bisect.
+anchor. It returns one raw slot per extension, ``[prob_sum, prob_max,
+entries]``, and builds no object for it: growth bounds each slot where it
+lies, and only a generated extension gets a ``Pattern`` and a trie entry.
+Growth projects it over its slot's entries alone, so ``project`` touches only
+sequences that still hold the item and re-anchors each with one bisect.
 
 The bound for extending a prefix with item b is::
 
@@ -56,6 +57,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .model import (
+    EPS,
     ExtKind,
     ItemId,
     MiningError,
@@ -69,7 +71,6 @@ from .model import (
     check_positive,
     extend,
     item_index,
-    meets,
     single,
 )
 from .trie import USeqTrie, _edges, sup_calc
@@ -115,21 +116,6 @@ class ProjectedDB:
     open_item: ItemId | None
 
 
-@dataclass(frozen=True)
-class ExtensionCandidate:
-    item: ItemId
-    kind: ExtKind
-    prob_sum: float  # sum over projected sequences of the item's best prob
-    prob_max: float  # max of those per-sequence bests
-    # The projection's entries where the item occurs at valid spots, in
-    # projection order: the only ones the extension's projection can keep.
-    entries: list[Entry]
-
-    @property
-    def seq_count(self) -> int:
-        return len(self.entries)
-
-
 @dataclass
 class BoundRecord:
     """One evaluated extension, kept when a trace list is supplied.
@@ -152,6 +138,7 @@ class MineStats:
     # The database's WAM sums; ``init_mining`` seeds its state from them.
     wam_acc: WamAccumulator = field(default_factory=WamAccumulator)
     min_wes: float = 0.0
+    bounded: int = 0  # extensions growth bounded, one per (kind, item) slot
     candidates: int = 0
     false_positives: int = 0
     survivors: int = 0
@@ -223,25 +210,27 @@ def root_projection(pdb: PreprocessedDB) -> ProjectedDB:
     return ProjectedDB(tuple((i, -1) for i in range(len(pdb.sequences))), None)
 
 
-def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate]:
-    """Extension candidates of a projection, in (kind, item) order.
+def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> dict[ExtKind, dict[ItemId, list]]:
+    """The extension slots of a projection: for "I" and for "S", in that
+    order, each item -> ``[prob_sum, prob_max, entries]``.
 
     Each entry's index is read once, with one bisect per item, and only up
     to the first item whose last occurrence lies before the anchor. An
-    S-candidate takes the item's suffix max at its first event after the
-    anchor. An I-candidate, only for items after ``open_item``, takes the
-    suffix max at the anchor event when the item is there, and the S value
-    otherwise. Every item of the index occurring in the remaining suffixes is
-    a candidate.
+    S-slot takes the item's suffix max at its first event after the anchor.
+    An I-slot, only for items after ``open_item``, takes the suffix max at
+    the anchor event when the item is there, and the S value otherwise.
+    Every item of the index occurring in the remaining suffixes gets a slot.
+    ``prob_sum`` sums those values over the projection and ``prob_max`` is
+    their largest.
 
-    Each candidate also gets the entries it was read from, in projection
-    order. Those are exactly the entries ``project`` can keep for that
-    extension: an S-candidate's hold the item after the anchor event, and an
-    I-candidate's hold it in the anchor event (after ``open_item``, as it is
-    larger) or later. Growth therefore projects over a candidate's own
-    entries, and gets the same child projection as over all of them.
+    ``entries`` are the entries a slot was read from, in projection order.
+    Those are exactly the entries ``project`` can keep for that extension:
+    an S-slot's hold the item after the anchor event, and an I-slot's hold
+    it in the anchor event (after ``open_item``, as it is larger) or later.
+    Growth therefore projects an extension over its slot's entries, and gets
+    the same child projection as over all of them.
     """
-    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])  # sum, max, entries
+    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     open_item = proj.open_item
     sequences = pdb.sequences
@@ -269,11 +258,7 @@ def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> list[ExtensionCandidate
                 slot[2].append(entry)
                 if p > slot[1]:
                     slot[1] = p
-    return [
-        ExtensionCandidate(item, kind, *slot)
-        for kind, acc in (("I", i_acc), ("S", s_acc))
-        for item, slot in sorted(acc.items())
-    ]
+    return {"I": i_acc, "S": s_acc}
 
 
 def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind) -> ProjectedDB:
@@ -343,7 +328,7 @@ def mine_trie(
         # The root level is bounded on the full index. No item it did not
         # generate can be generated below it (see the module docstring).
         first = list(growth.level(root, None, 1.0, 0.0))
-        prune_index(pdb, {cand.item for cand, *_ in first}, weights)
+        prune_index(pdb, {item for item, *_ in first}, weights)
         growth.grow(root, first)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
@@ -355,9 +340,10 @@ def mine_trie(
     return trie, stats
 
 
-# A generated extension: its candidate, its pattern, and the pattern's maxpr
-# and largest item weight, which its own extensions start from.
-Generated = tuple[ExtensionCandidate, Pattern, float, float]
+# A generated extension: its item and kind, the entries of its slot, its
+# pattern, and the pattern's maxpr and largest item weight, which its own
+# extensions start from.
+Generated = tuple[ItemId, ExtKind, list[Entry], Pattern, float, float]
 
 
 @dataclass
@@ -375,34 +361,42 @@ class _Growth:
     def level(
         self, proj: ProjectedDB, prefix: Pattern | None, maxpr: float, mxw: float
     ) -> Iterator[Generated]:
-        """Bound every extension of ``proj``; insert and yield the generated ones.
+        """Bound every slot ``determine`` finds for ``proj``, I-items then
+        S-items, each in item order; insert and yield the generated ones.
 
-        Lazy, so a generated pattern's subtree can grow before its next
-        sibling is bounded.
+        A slot is bounded where it lies, and only a generated one gets a
+        ``Pattern`` (with a trace list, every one does, for its record).
+        ``preprocess`` has looked up every item's weight, so the weight
+        table is read directly. Lazy, so a generated pattern's subtree can
+        grow before its next sibling is bounded.
         """
         pdb = self.pdb
-        weight = self.weights.weight
-        cands = determine(pdb, proj)
-        mxw_db = max((weight(c.item) for c in cands), default=0.0)
-        wgt_cap = mxw_db if mxw_db > mxw else mxw
+        weight = self.weights.entries
+        trace = self.trace
+        cap_bound = self.bound == "cap"
+        floor = self.min_wes - EPS  # what ``meets`` compares with
+        slots = determine(pdb, proj)
+        wgt_cap = max([mxw] + [weight[item] for acc in slots.values() for item in acc])
         if wgt_cap < pdb.pruned_max:
             wgt_cap = _pruned_weight(pdb, proj, wgt_cap)
-        for cand in cands:
-            cap = maxpr * cand.prob_sum
-            top = maxpr * cand.prob_max * cand.seq_count
-            est = (cap if self.bound == "cap" else top) * wgt_cap
-            generated = meets(est, self.min_wes)
-            if self.trace is None and not generated:
-                continue
-            pat = extend(prefix, cand.item, cand.kind) if prefix is not None else single(cand.item)
-            if self.trace is not None:
-                self.trace.append(BoundRecord(pat, cand.kind, cap, top, wgt_cap, generated))
-            if not generated:
-                continue
-            self.trie.insert(pat)
-            self.stats.candidates += 1
-            w = weight(cand.item)
-            yield cand, pat, maxpr * cand.prob_max, mxw if mxw > w else w
+        for kind, acc in slots.items():
+            self.stats.bounded += len(acc)
+            for item in sorted(acc):
+                prob_sum, prob_max, entries = acc[item]
+                est = (maxpr * prob_sum if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
+                generated = est >= floor
+                if trace is None and not generated:
+                    continue
+                pat = extend(prefix, item, kind) if prefix is not None else single(item)
+                if trace is not None:
+                    top = maxpr * prob_max * len(entries)
+                    trace.append(BoundRecord(pat, kind, maxpr * prob_sum, top, wgt_cap, generated))
+                    if not generated:
+                        continue
+                self.trie.insert(pat)
+                self.stats.candidates += 1
+                w = weight[item]
+                yield item, kind, entries, pat, maxpr * prob_max, mxw if mxw > w else w
 
     def grow(self, proj: ProjectedDB, level: Iterable[Generated]) -> None:
         """Grow each generated extension of ``proj`` depth-first.
@@ -413,9 +407,8 @@ class _Growth:
         stack = [(proj, iter(level))]
         while stack:
             proj, pending = stack[-1]
-            for cand, pat, maxpr, mxw in pending:
-                own = ProjectedDB(cand.entries, proj.open_item)
-                child = project(self.pdb, own, cand.item, cand.kind)
+            for item, kind, entries, pat, maxpr, mxw in pending:
+                child = project(self.pdb, ProjectedDB(entries, proj.open_item), item, kind)
                 if child.entries:
                     stack.append((child, self.level(child, pat, maxpr, mxw)))
                     break
@@ -460,9 +453,9 @@ def pattern_max_pr(pdb: PreprocessedDB, pattern: Pattern) -> float:
     proj = root_projection(pdb)
     maxpr = 1.0
     for kind, item in _edges(pattern):
-        hit = next((c for c in determine(pdb, proj) if c.item == item and c.kind == kind), None)
-        if hit is None:
+        slot = determine(pdb, proj)[kind].get(item)
+        if slot is None:
             return 0.0
-        maxpr *= hit.prob_max
-        proj = project(pdb, ProjectedDB(hit.entries, proj.open_item), item, kind)
+        maxpr *= slot[1]
+        proj = project(pdb, ProjectedDB(slot[2], proj.open_item), item, kind)
     return maxpr

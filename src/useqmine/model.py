@@ -215,18 +215,25 @@ def extend(pattern: Pattern, item: ItemId, kind: ExtKind) -> Pattern:
     """Grow a pattern with one item: S opens a new event, I joins the last one.
 
     I-extension requires the item to sort strictly after every item already in
-    the final itemset, mirroring the ascending order inside events.
+    the final itemset, mirroring the ascending order inside events. That is
+    the only check: ``pattern`` is valid already, so the result is built
+    without re-checking every itemset, and a chain of n extensions costs O(n)
+    checks rather than O(n²).
     """
     if kind == "S":
-        return Pattern(pattern.events + ((item,),))
-    if kind == "I":
+        events = pattern.events + ((item,),)
+    elif kind == "I":
         last = pattern.events[-1]
         if item <= last[-1]:
             raise ValueError(
                 f"i-extension item {item!r} must sort after {last[-1]!r} in itemset {last}"
             )
-        return Pattern(pattern.events[:-1] + (last + (item,),))
-    raise ValueError(f"unknown extension kind {kind!r}")
+        events = pattern.events[:-1] + (last + (item,),)
+    else:
+        raise ValueError(f"unknown extension kind {kind!r}")
+    out = object.__new__(Pattern)
+    object.__setattr__(out, "events", events)  # frozen: as the generated __init__ does
+    return out
 
 
 def single(item: ItemId) -> Pattern:

@@ -1,6 +1,8 @@
 import random
+from typing import NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
 from useqmine import (
     Event,
@@ -8,6 +10,7 @@ from useqmine import (
     UncertainDatabase,
     USequence,
     WeightTable,
+    determine,
     parse_pattern,
     parse_uncertain_db,
     parse_weights,
@@ -49,6 +52,55 @@ g 0.8
 
 def P(text):
     return parse_pattern(text)
+
+
+class Slot(NamedTuple):
+    """One extension slot of ``determine``'s result, with its kind and item."""
+
+    kind: str
+    item: str
+    prob_sum: float
+    prob_max: float
+    entries: list
+
+    @property
+    def seq_count(self):
+        return len(self.entries)
+
+
+def slots(pdb, proj):
+    """``determine``'s slots flattened into one list in (kind, item) order,
+    which is the order growth bounds them in."""
+    return [
+        Slot(kind, item, *acc[item])
+        for kind, acc in determine(pdb, proj).items()
+        for item in sorted(acc)
+    ]
+
+
+# Drawn databases for ``hypothesis`` properties.
+DB_ITEMS = "abcde"
+PROBS = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+def itemsets(items, min_size=1):
+    return st.lists(st.sampled_from(items), min_size=min_size, max_size=3, unique=True).map(
+        lambda xs: tuple(sorted(xs))
+    )
+
+
+@st.composite
+def databases(draw, max_events=6, last_min_size=1, items=DB_ITEMS):
+    # A small alphabet and up to six events make repeated items across events common.
+    seqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
+        events = tuple(
+            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(items, size))))
+            for size in sizes
+        )
+        seqs.append(USequence(events))
+    return UncertainDatabase(tuple(seqs))
 
 
 def db_from_text(tmp_path, text, name="db.txt"):

@@ -173,6 +173,22 @@ class TestInc:
         want = len(mine1 & base1) / len(base1)
         assert float(rows[1]["completeness"]) == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("row", ["(a:b)\t1.0", "(-1)(x y)\t0.5"])
+    def test_baseline_with_bad_item_token_refused(self, files, tmp_path, capsys, row):
+        # A baseline row no mined pattern can match is refused, not counted as missed.
+        base_dir = self.run_inc(files, tmp_path, "baseline", "base")
+        with open(os.path.join(base_dir, "step_1.tsv"), "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        argv = ["inc", "--init", files["db"], "--delta", files["d1"], "--weights", files["w"],
+                "--algo", "uwsinc", "--min-sup", "0.2", "--mu", "0.7", "--wgt-fct", "1.0",
+                "--out-dir", str(tmp_path / "inc"), "--baseline-dir", base_dir]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "item token" in err
+        lines = open(os.path.join(base_dir, "step_1.tsv")).read().count("\n")
+        assert f"step_1.tsv:{lines}:" in err
+
     def test_checkpoint_resume(self, files, tmp_path):
         ck = str(tmp_path / "state.ck")
         out1 = str(tmp_path / "run1")

@@ -368,7 +368,7 @@ class TestPatternsFile:
     def test_pattern_text_round_trip(self, pat):
         assert parse_pattern(format_pattern(pat)) == pat
 
-    @pytest.mark.parametrize("text", ["()", "(a)()", "(b a)", "a"])
+    @pytest.mark.parametrize("text", ["()", "(a)()", "(b a)", "a", "(a:b)", "(-1)(x y)"])
     def test_bad_pattern_text(self, text):
         with pytest.raises(MiningError):
             parse_pattern(text)
@@ -380,6 +380,14 @@ class TestPatternsFile:
         back = read_patterns_tsv(str(path))
         assert [sp.pattern for sp in back] == [sp.pattern for sp in rows]
         assert back[0].wes == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("line", ["(a:b)\t1.0", "(-1)(x y)\t0.5"])
+    def test_read_patterns_tsv_rejects_bad_item_tokens(self, tmp_path, line):
+        # No database or weight file can hold such an item.
+        path = tmp_path / "p.tsv"
+        path.write_text(f"(a)\t1.0\n{line}\n")
+        with pytest.raises(ParseError, match=f"{path}:2: .*item token"):
+            read_patterns_tsv(str(path))
 
     @pytest.mark.parametrize("wes", ["nan", "inf", "-inf", "-0.5"])
     def test_read_patterns_tsv_rejects_bad_wes(self, tmp_path, wes):

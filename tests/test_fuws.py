@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from useqmine import (
     BoundRecord,
@@ -9,7 +11,6 @@ from useqmine import (
     Thresholds,
     WamAccumulator,
     WeightTable,
-    determine,
     extend,
     fuws,
     meets,
@@ -25,7 +26,16 @@ from useqmine import (
 )
 from useqmine.model import item_index
 
-from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
+from conftest import (
+    DB_ITEMS,
+    P,
+    databases,
+    db_from_text,
+    patterns_by_key,
+    random_db,
+    random_weights,
+    slots,
+)
 
 
 class TestPreprocess:
@@ -83,7 +93,7 @@ def max_weight(cands, weights):
 class TestDetermine:
     def test_root_candidates(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
-        cands = determine(pdb, root_projection(pdb))
+        cands = slots(pdb, root_projection(pdb))
         by_item = {(c.kind, c.item): c for c in cands}
         assert set(by_item) == {("S", it) for it in "abcdg"}
         # Per-sequence suffix maxima summed; sequence 6 peaks at 0.1 for a.
@@ -101,7 +111,7 @@ class TestDetermine:
         proj = project(pdb, root_projection(pdb), "a", "S")
         proj = project(pdb, proj, "c", "I")
         assert len(proj.entries) == 3
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         by_item = {(c.kind, c.item): c for c in cands}
         assert by_item[("S", "b")].prob_sum == pytest.approx(0.7)
         assert by_item[("S", "a")].prob_sum == pytest.approx(1.5)
@@ -112,7 +122,7 @@ class TestDetermine:
         for item, kind in [("c", "S"), ("a", "S"), ("b", "S"), ("d", "S")]:
             proj = project(pdb, proj, item, kind)
         assert proj.entries == ()
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         assert cands == [] and max_weight(cands, sample_weights) == 0.0
 
 
@@ -170,7 +180,7 @@ class TestBounds:
         # Looser bound at the root for item a: peak 0.9 over 6 sequences.
         assert roots[P("(a)")].exp_sup_top == pytest.approx(5.4)
         pdb, _ = preprocess(sample_db, sample_weights)
-        for c in determine(pdb, root_projection(pdb)):
+        for c in slots(pdb, root_projection(pdb)):
             rec = roots[single(c.item)]
             assert rec.exp_sup_cap <= rec.exp_sup_top + 1e-12
             if c.seq_count == 1:
@@ -232,7 +242,7 @@ def unpruned_trace(db, wt, min_sup, bound):
     records = []
 
     def grow(proj, prefix, maxpr, mxw):
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         wgt_cap = max([mxw] + [wt.weight(c.item) for c in cands])
         for cand in cands:
             cap = maxpr * cand.prob_sum
@@ -246,6 +256,28 @@ def unpruned_trace(db, wt, min_sup, bound):
 
     grow(root_projection(pdb), None, 1.0, 0.0)
     return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases(),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    bound=st.sampled_from(["cap", "top"]),
+)
+def test_trace_leaves_the_mine_unchanged(db, weights, min_sup, bound):
+    # With a trace list growth builds a pattern for every bounded slot, and
+    # without one only for the generated ones; the mine must not tell.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    trace = []
+    traced_trie, traced = mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
+    trie, plain = mine_trie(db, wt, min_sup, 1.0, bound=bound)
+    assert traced_trie.snapshot() == trie.snapshot()
+    assert (traced.candidates, traced.false_positives, traced.min_wes) == (
+        plain.candidates, plain.false_positives, plain.min_wes
+    )
+    assert traced.candidates == sum(r.generated for r in trace)
+    assert traced.bounded == plain.bounded == len(trace)
 
 
 @pytest.mark.parametrize("bound", ["cap", "top"])

@@ -9,15 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
-    Event,
     Pattern,
-    ProbItem,
     ProjectedDB,
-    UncertainDatabase,
     USeqTrie,
-    USequence,
     WeightTable,
-    determine,
     max_pr_dynamic,
     mine_trie,
     oracle_max_pr_s,
@@ -29,34 +24,12 @@ from useqmine import (
 )
 from useqmine.fuws import prune_index
 
-from conftest import random_db, random_weights
+from conftest import DB_ITEMS, databases, itemsets, random_db, random_weights, slots
 
 fuws = importlib.import_module("useqmine.fuws")  # the package's ``fuws`` is the function
 
-DB_ITEMS = "abcde"
 TRIE_ITEMS = "cdefg"  # overlaps DB_ITEMS only in c, d, e
 WEIGHTS = WeightTable({"a": 0.8, "b": 1.0, "c": 0.9, "d": 0.6, "e": 0.7, "f": 0.9, "g": 0.5})
-PROBS = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
-
-
-def itemsets(items, min_size=1):
-    return st.lists(st.sampled_from(items), min_size=min_size, max_size=3, unique=True).map(
-        lambda xs: tuple(sorted(xs))
-    )
-
-
-@st.composite
-def databases(draw, max_events=6, last_min_size=1, items=DB_ITEMS):
-    # A small alphabet and up to six events make repeated items across events common.
-    seqs = []
-    for _ in range(draw(st.integers(1, 5))):
-        sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
-        events = tuple(
-            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(items, size))))
-            for size in sizes
-        )
-        seqs.append(USequence(events))
-    return UncertainDatabase(tuple(seqs))
 
 
 def project_linear(db, proj, item, kind):
@@ -154,7 +127,7 @@ def test_determine_matches_event_walk_along_growth_chains(data, db):
     pdb, _ = preprocess(db, WEIGHTS)
     proj = root_projection(pdb)
     for _ in range(5):
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         want, seen = determine_walk(db, proj)
         assert [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands] == want
         assert {c.item for c in cands} == seen
@@ -177,7 +150,7 @@ def test_determine_on_pruned_index_matches_event_walk(data, db, keep):
         assert set(seq.index) <= keep
     proj = root_projection(pdb)
     for _ in range(5):
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         want, _ = determine_walk(db, proj)
         got = [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands]
         assert got == [w for w in want if w[1] in keep]
@@ -202,7 +175,7 @@ def test_candidates_project_over_their_own_entries(data, db, keep):
         prune_index(pdb, keep, WEIGHTS)
     proj = root_projection(pdb)
     for _ in range(5):
-        cands = determine(pdb, proj)
+        cands = slots(pdb, proj)
         for c in cands:
             rest = iter(proj.entries)
             assert all(entry in rest for entry in c.entries)  # in order, a subsequence
@@ -245,7 +218,7 @@ def test_growth_hands_project_only_the_generated_candidates_entries(monkeypatch)
         proj = root_projection(pdb)
         for item, kind in prefix:
             proj = project(pdb, proj, item, kind)
-        cand = next(c for c in determine(pdb, proj) if (c.item, c.kind) == step)
+        cand = next(c for c in slots(pdb, proj) if (c.item, c.kind) == step)
         want += cand.seq_count
         whole += len(proj.entries)
     assert sum(handed) == want < whole

@@ -78,6 +78,28 @@ class TestExtend:
         extend(base, "c", "S")
         assert base == P("(a)(b)")
 
+    def test_long_chain_checks_no_whole_pattern(self, monkeypatch):
+        # The input of each step is valid already, so no step re-checks every
+        # itemset: a chain of n extensions costs no O(n²) checks.
+        items = [f"i{k:04d}" for k in range(1200)]
+        pat = single(items[0])
+        events = [[items[0]]]
+        calls = []
+        plain = Pattern.__post_init__
+        monkeypatch.setattr(Pattern, "__post_init__", lambda self: (calls.append(1), plain(self)))
+        for k, item in enumerate(items[1:], start=1):
+            kind = "S" if k % 3 == 0 else "I"
+            pat = extend(pat, item, kind)
+            if kind == "S":
+                events.append([item])
+            else:
+                events[-1].append(item)
+        assert calls == []
+        want = Pattern(tuple(map(tuple, events)))
+        assert len(calls) == 1  # the counter sees a checked construction
+        assert pat == want and hash(pat) == hash(want)
+        assert pat.length == 1200 and pat.size == 400
+
     def test_bookkeeping_matches_recount(self):
         rng = random.Random(11)
         for _ in range(100):
