@@ -14,9 +14,10 @@ and ``determine`` reads each item's best remaining probability with one
 bisect and stops at the first item whose last occurrence lies before the
 anchor. It returns one raw slot per extension, ``[prob_sum, prob_max,
 entries]``, and builds no object for it: growth bounds each slot where it
-lies, and only a generated extension gets a ``Pattern`` and a trie entry.
-Growth projects it over its slot's entries alone, so ``project`` touches only
-sequences that still hold the item and re-anchors each with one bisect.
+lies, and only a generated extension gets a trie node, added under its
+parent's. Growth projects it over its slot's entries alone, so ``project``
+touches only sequences that still hold the item and re-anchors each with one
+bisect. Without a trace list, growth builds no ``Pattern`` at all.
 
 The bound for extending a prefix with item b is::
 
@@ -31,7 +32,7 @@ any deeper pattern on that branch, and est_wgt never undershoots a deeper
 pattern's mean item weight, so pruning on ``est`` loses nothing. The classic
 looser bound ``top`` puts ``maxpr * peak prob * projected support`` in place
 of ``est_sup``; ``mine_trie(bound="top")`` keeps it for benchmark comparison.
-Both bounds are computed in one place, ``_Growth.level``.
+Both bounds are computed in one place, the loop of ``_grow``.
 
 After the root level, every item whose single-item pattern was not generated
 leaves the index (``prune_index``), as PrefixSpan drops infrequent items
@@ -52,7 +53,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -322,14 +323,7 @@ def mine_trie(
     min_wes = Thresholds.compute(min_sup, db.size, stats.wam, wgt_fct, 1.0).min_wes
     stats.min_wes = min_wes
     trie = USeqTrie()
-    if pdb.sequences:
-        growth = _Growth(pdb, weights, min_wes, bound, trie, stats, trace)
-        root = root_projection(pdb)
-        # The root level is bounded on the full index. No item it did not
-        # generate can be generated below it (see the module docstring).
-        first = list(growth.level(root, None, 1.0, 0.0))
-        prune_index(pdb, {item for item, *_ in first}, weights)
-        growth.grow(root, first)
+    _grow(pdb, weights, min_wes, bound, trie, stats, trace)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
     # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
@@ -340,80 +334,67 @@ def mine_trie(
     return trie, stats
 
 
-# A generated extension: its item and kind, the entries of its slot, its
-# pattern, and the pattern's maxpr and largest item weight, which its own
-# extensions start from.
-Generated = tuple[ItemId, ExtKind, list[Entry], Pattern, float, float]
+def _grow(
+    pdb: PreprocessedDB,
+    weights: WeightTable,
+    min_wes: float,
+    bound: Bound,
+    trie: USeqTrie,
+    stats: MineStats,
+    trace: list[BoundRecord] | None,
+) -> None:
+    """Grow every candidate into ``trie``, depth-first from the root.
 
-
-@dataclass
-class _Growth:
-    """What every level of one depth-first growth shares."""
-
-    pdb: PreprocessedDB
-    weights: WeightTable
-    min_wes: float
-    bound: Bound
-    trie: USeqTrie
-    stats: MineStats
-    trace: list[BoundRecord] | None
-
-    def level(
-        self, proj: ProjectedDB, prefix: Pattern | None, maxpr: float, mxw: float
-    ) -> Iterator[Generated]:
-        """Bound every slot ``determine`` finds for ``proj``, I-items then
-        S-items, each in item order; insert and yield the generated ones.
-
-        A slot is bounded where it lies, and only a generated one gets a
-        ``Pattern`` (with a trace list, every one does, for its record).
-        ``preprocess`` has looked up every item's weight, so the weight
-        table is read directly. Lazy, so a generated pattern's subtree can
-        grow before its next sibling is bounded.
-        """
-        pdb = self.pdb
-        weight = self.weights.entries
-        trace = self.trace
-        cap_bound = self.bound == "cap"
-        floor = self.min_wes - EPS  # what ``meets`` compares with
+    A frame on the stack is one generated extension waiting to be grown: its
+    slot's entries, its parent's ``open_item``, its item and kind, its trie
+    node, its maxpr and largest item weight, and its pattern (only with a
+    trace list). The root frame has item ``None``. Popping a frame projects
+    it, so projection happens only when a subtree is grown, and bounds every
+    slot ``determine`` finds, I-items then S-items, each in item order. Each
+    generated one becomes a marked child of the frame's node and a frame,
+    and the frames go on the stack in reverse, so the first is grown first.
+    The stack is explicit, so a long pattern cannot hit Python's recursion
+    limit. ``preprocess`` has looked up every item's weight, so the weight
+    table is read directly.
+    """
+    weight = weights.entries
+    cap_bound = bound == "cap"
+    floor = min_wes - EPS  # what ``meets`` compares with
+    stack = [(root_projection(pdb).entries, None, None, None, trie.root, 1.0, 0.0, None)]
+    while stack:
+        entries, open_item, item, kind, node, maxpr, mxw, prefix = stack.pop()
+        proj = ProjectedDB(entries, open_item)
+        if item is not None:
+            proj = project(pdb, proj, item, kind)
+        if not proj.entries:
+            continue
         slots = determine(pdb, proj)
         wgt_cap = max([mxw] + [weight[item] for acc in slots.values() for item in acc])
         if wgt_cap < pdb.pruned_max:
             wgt_cap = _pruned_weight(pdb, proj, wgt_cap)
+        frames = []
         for kind, acc in slots.items():
-            self.stats.bounded += len(acc)
+            stats.bounded += len(acc)
             for item in sorted(acc):
                 prob_sum, prob_max, entries = acc[item]
                 est = (maxpr * prob_sum if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
                 generated = est >= floor
-                if trace is None and not generated:
-                    continue
-                pat = extend(prefix, item, kind) if prefix is not None else single(item)
+                pat = None
                 if trace is not None:
+                    pat = extend(prefix, item, kind) if prefix is not None else single(item)
                     top = maxpr * prob_max * len(entries)
                     trace.append(BoundRecord(pat, kind, maxpr * prob_sum, top, wgt_cap, generated))
-                    if not generated:
-                        continue
-                self.trie.insert(pat)
-                self.stats.candidates += 1
-                w = weight[item]
-                yield item, kind, entries, pat, maxpr * prob_max, mxw if mxw > w else w
-
-    def grow(self, proj: ProjectedDB, level: Iterable[Generated]) -> None:
-        """Grow each generated extension of ``proj`` depth-first.
-
-        The path from the root is an explicit stack, so a long pattern
-        cannot hit Python's recursion limit here.
-        """
-        stack = [(proj, iter(level))]
-        while stack:
-            proj, pending = stack[-1]
-            for item, kind, entries, pat, maxpr, mxw in pending:
-                child = project(self.pdb, ProjectedDB(entries, proj.open_item), item, kind)
-                if child.entries:
-                    stack.append((child, self.level(child, pat, maxpr, mxw)))
-                    break
-            else:
-                stack.pop()
+                if generated:
+                    w = weight[item]
+                    child = trie.add_child(node, kind, item)
+                    frames.append((entries, proj.open_item, item, kind, child,
+                                   maxpr * prob_max, mxw if mxw > w else w, pat))
+        stats.candidates += len(frames)
+        if node is trie.root:
+            # The root level is bounded on the full index. No item it did not
+            # generate can be generated below it (see the module docstring).
+            prune_index(pdb, {frame[2] for frame in frames}, weights)
+        stack.extend(reversed(frames))
 
 
 def _pruned_weight(pdb: PreprocessedDB, proj: ProjectedDB, floor: float) -> float:

@@ -64,18 +64,21 @@ class USeqTrie:
 
     def insert(self, pattern: Pattern, wes: float = 0.0) -> None:
         """Store a pattern; overwrites the accumulator if already present."""
+        *path, last = _edges(pattern)
         node = self.root
-        for kind, item in _edges(pattern):
-            key = (kind, item)
-            child = node.children.get(key)
-            if child is None:
-                child = TrieNode(kind, item)
-                node.children[key] = child
-            node = child
-        if not node.is_pattern:
-            node.is_pattern = True
+        for key in path:
+            node = node.children.setdefault(key, TrieNode(*key))
+        self.add_child(node, *last).wes = wes
+
+    def add_child(self, node: TrieNode, kind: ExtKind, item: ItemId) -> TrieNode:
+        """Store the pattern of ``node`` extended by ``(kind, item)``, with
+        no walk from the root, and return its node (its wes is kept if the
+        pattern was stored)."""
+        child = node.children.setdefault((kind, item), TrieNode(kind, item))
+        if not child.is_pattern:
+            child.is_pattern = True
             self.pattern_count += 1
-        node.wes = wes
+        return child
 
     def _walk(self, pattern: Pattern) -> list[TrieNode] | None:
         node = self.root

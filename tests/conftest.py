@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from useqmine import (
     Event,
+    MiningError,
     ProbItem,
     UncertainDatabase,
     USequence,
@@ -101,6 +102,25 @@ def databases(draw, max_events=6, last_min_size=1, items=DB_ITEMS):
         )
         seqs.append(USequence(events))
     return UncertainDatabase(tuple(seqs))
+
+
+def spliced_bytes(valid: bytes):
+    """Arbitrary bytes, or ``valid`` with one slice replaced by arbitrary
+    bytes, so that most draws get past a file's first line."""
+    splice = st.tuples(
+        st.integers(0, len(valid)), st.integers(0, len(valid)), st.binary(max_size=16)
+    ).map(lambda t: valid[: min(t[:2])] + t[2] + valid[max(t[:2]) :])
+    return st.one_of(st.binary(max_size=64), splice)
+
+
+def check_reads_or_refuses(read, path, data):
+    """``read`` of a file holding ``data`` returns or raises ``MiningError``;
+    any other exception fails the test."""
+    path.write_bytes(data)
+    try:
+        read(str(path))
+    except MiningError:
+        pass
 
 
 def db_from_text(tmp_path, text, name="db.txt"):

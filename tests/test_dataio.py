@@ -12,6 +12,7 @@ from useqmine import (
     Pattern,
     ScoredPattern,
     SplitSpec,
+    WeightTable,
     format_pattern,
     gen_uncertain,
     parse_pattern,
@@ -26,7 +27,15 @@ from useqmine import (
 from useqmine.dataio import Xoshiro256StarStar
 from useqmine.model import check_item_token
 
-from conftest import DB_TEXT, P, random_db
+from conftest import (
+    DB_TEXT,
+    WEIGHTS_TEXT,
+    P,
+    check_reads_or_refuses,
+    databases,
+    random_db,
+    spliced_bytes,
+)
 
 
 class TestParseDb:
@@ -342,6 +351,39 @@ TOKENS = st.text(st.sampled_from("ab()-1: ") | st.characters(), min_size=1, max_
     accepted
 )
 ITEMSETS = st.lists(TOKENS, min_size=1, max_size=3, unique=True).map(lambda xs: tuple(sorted(xs)))
+# The tokens a UTF-8 file can hold: ``check_item_token`` also accepts a lone
+# surrogate, which no reader produces and no writer can encode.
+FILE_TOKENS = TOKENS.filter(lambda t: not any("\ud800" <= c <= "\udfff" for c in t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=st.lists(FILE_TOKENS, min_size=1, max_size=5, unique=True).flatmap(
+    lambda items: databases(items=items)))
+def test_database_write_parse_round_trip(tmp_path_factory, db):
+    # Probabilities are written with repr, so they read back exactly.
+    path = tmp_path_factory.getbasetemp() / "rt-db.txt"
+    write_uncertain_db(str(path), db)
+    assert parse_uncertain_db(str(path)) == db
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.dictionaries(FILE_TOKENS, st.floats(0.0, 1.0, exclude_min=True), max_size=6))
+def test_weights_write_parse_round_trip(tmp_path_factory, entries):
+    path = tmp_path_factory.getbasetemp() / "rt-w.txt"
+    write_weights(str(path), WeightTable(entries))
+    assert parse_weights(str(path)) == WeightTable(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=spliced_bytes(WEIGHTS_TEXT.encode()))
+def test_weights_reader_reads_or_refuses_any_bytes(tmp_path_factory, data):
+    check_reads_or_refuses(parse_weights, tmp_path_factory.getbasetemp() / "w.bin", data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=spliced_bytes(b"(a)\t1.25\n(a b)(c)\t0.5\n"))
+def test_patterns_reader_reads_or_refuses_any_bytes(tmp_path_factory, data):
+    check_reads_or_refuses(read_patterns_tsv, tmp_path_factory.getbasetemp() / "p.bin", data)
 
 
 class TestPatternsFile:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -9,6 +10,7 @@ from useqmine import (
     BoundRecord,
     MiningError,
     Thresholds,
+    USeqTrie,
     WamAccumulator,
     WeightTable,
     extend,
@@ -36,6 +38,9 @@ from conftest import (
     random_weights,
     slots,
 )
+
+# The package's ``fuws`` attribute is the function, so go through importlib.
+FUWS = importlib.import_module("useqmine.fuws")
 
 
 class TestPreprocess:
@@ -338,6 +343,21 @@ class TestFuws:
             assert set(got) == set(want)
             for pat, wes in want.items():
                 assert got[pat] == pytest.approx(wes, abs=1e-9)
+
+    def test_untraced_growth_builds_no_pattern(self, sample_db, sample_weights, monkeypatch):
+        # Growth adds each candidate under its parent's trie node, so without
+        # a trace list it neither builds a Pattern nor walks from the root.
+        want = patterns_by_key(fuws(sample_db, sample_weights, 0.2 * 0.7, 1.0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by untraced growth")
+
+        monkeypatch.setattr(FUWS, "extend", refuse)
+        monkeypatch.setattr(FUWS, "single", refuse)
+        monkeypatch.setattr(USeqTrie, "insert", refuse)
+        trie, stats = mine_trie(sample_db, sample_weights, 0.2 * 0.7, 1.0)
+        assert stats.candidates > len(want) > 0
+        assert patterns_by_key(trie.collect(stats.min_wes)) == want
 
     def test_no_pattern_below_threshold_survives(self, sample_db, sample_weights):
         trie, stats = mine_trie(sample_db, sample_weights, 0.14, 1.0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from useqmine import (
     MiningError,
@@ -13,6 +15,7 @@ from useqmine import (
     load_state,
     meets,
     oracle_wes,
+    parse_weights,
     save_state,
     USeqTrie,
     WeightTable,
@@ -23,7 +26,18 @@ from useqmine import incremental
 from useqmine.fuws import mine_trie
 from useqmine.trie import sup_calc
 
-from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
+from conftest import (
+    DB_TEXT,
+    DELTA1_TEXT,
+    WEIGHTS_TEXT,
+    P,
+    check_reads_or_refuses,
+    db_from_text,
+    patterns_by_key,
+    random_db,
+    random_weights,
+    spliced_bytes,
+)
 
 PARAMS = MiningParams(min_sup=0.2, wgt_fct=1.0, mu=0.7, lwes_factor=2.0)
 
@@ -538,6 +552,26 @@ class TestCheckpointNumbers:
                               f"{incremental.CHECKPOINT_PFS}\n1 S c 0.25\n1 S a -\n2 S b 0.5\n")
         with pytest.raises(MiningError, match=r"checkpoint holds \(a\)\(b\) in both tries"):
             load_state(str(checkpoint), sample_weights)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A checkpoint of the worked example after one uWSInc+ step, its weights
+    and a scratch path."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "w.txt").write_text(WEIGHTS_TEXT)
+    weights = parse_weights(str(tmp / "w.txt"))
+    state = init_mining(db_from_text(tmp, DB_TEXT), weights, PARAMS)
+    uwsincplus_step(state, db_from_text(tmp, DELTA1_TEXT, "d1.txt"))
+    save_state(state, str(tmp / "ck.txt"))
+    return (tmp / "ck.txt").read_bytes(), weights, tmp / "fuzzed.ck"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_reader_reads_or_refuses_any_bytes(saved_checkpoint, data):
+    valid, weights, path = saved_checkpoint
+    check_reads_or_refuses(lambda p: load_state(p, weights), path, data.draw(spliced_bytes(valid)))
 
 
 def test_baseline_equivalence(sample_db, sample_weights, delta1):

@@ -14,6 +14,7 @@ from useqmine import (
     oracle_wes,
     sup_calc,
 )
+from useqmine.trie import _edges
 
 from conftest import P, db_from_text, patterns_by_key, random_db, random_weights
 
@@ -298,3 +299,30 @@ def test_prune_below_keeps_exactly_the_patterns_that_meet(trie, min_wes):
     nodes = nodes_of(trie)
     assert all(node.children or node.is_pattern for node in nodes)
     assert trie.node_count == len(nodes)
+
+
+def prefix(pat, k):
+    """The pattern of the first ``k`` edges of ``pat``."""
+    events = []
+    for kind, item in _edges(pat)[:k]:
+        if kind == "S":
+            events.append((item,))
+        else:
+            events[-1] += (item,)
+    return Pattern(tuple(events))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pats=st.lists(PATTERNS, max_size=12))
+def test_add_child_stores_what_insert_stores(pats):
+    # Adding each pattern's edges one child at a time from the root stores
+    # the pattern and all of its prefixes, as inserting each of them does.
+    added, inserted = USeqTrie(), USeqTrie()
+    for pat in pats:
+        node = added.root
+        for k, (kind, item) in enumerate(_edges(pat), start=1):
+            node = added.add_child(node, kind, item)
+            inserted.insert(prefix(pat, k))
+    assert added.snapshot() == inserted.snapshot()
+    assert added.pattern_count == inserted.pattern_count
+
