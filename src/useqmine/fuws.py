@@ -351,7 +351,7 @@ def _grow(
     trace list). The root frame has item ``None``. Popping a frame projects
     it, so projection happens only when a subtree is grown, and bounds every
     slot ``determine`` finds, I-items then S-items, each in item order. Each
-    generated one becomes a marked child of the frame's node and a frame,
+    generated one is stored as a child of the frame's node and becomes a frame,
     and the frames go on the stack in reverse, so the first is grown first.
     The stack is explicit, so a long pattern cannot hit Python's recursion
     limit. ``preprocess`` has looked up every item's weight, so the weight

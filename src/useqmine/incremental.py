@@ -82,7 +82,7 @@ def _fold(state: IncrementalState, delta: UncertainDatabase) -> Thresholds:
     they raise ``MissingWeightError`` before anything changes."""
     state.wam_acc.add(delta, state.weights)
     for trie in (state.seq_trie, state.pfs_trie):
-        if trie.pattern_count:
+        if trie.root.children:
             sup_calc(trie, delta, state.weights)
     state.db_size += delta.size
     return state.thresholds()
@@ -202,12 +202,12 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
         raise MiningError(f"bad checkpoint header: {exc}") from None
     for name, value in (("db_size", db_size), ("wam_num", wam_num), ("wam_den", wam_den)):
         check_nonnegative(f"checkpoint {name}", value)
-    try:
-        seq_at = lines.index(CHECKPOINT_SEQ)
-        pfs_at = lines.index(CHECKPOINT_PFS)
-    except ValueError:
-        raise MiningError("checkpoint missing trie sections") from None
-    seq_trie = USeqTrie.from_snapshot("\n".join(lines[seq_at + 1 : pfs_at]))
+    if lines[1:2] != [CHECKPOINT_SEQ] or lines.count(CHECKPOINT_PFS) != 1:
+        raise MiningError(
+            f"checkpoint {path} needs {CHECKPOINT_SEQ} as line 2 and one {CHECKPOINT_PFS} line"
+        )
+    pfs_at = lines.index(CHECKPOINT_PFS)
+    seq_trie = USeqTrie.from_snapshot("\n".join(lines[2:pfs_at]))
     pfs_trie = USeqTrie.from_snapshot("\n".join(lines[pfs_at + 1 :]))
     for pat, _ in pfs_trie.patterns():
         if pat in seq_trie:

@@ -59,6 +59,12 @@ def check_item_token(token: str) -> str:
     # Parentheses delimit a pattern's itemsets when it is written out.
     if ":" in token or "(" in token or ")" in token or token.split() != [token]:
         raise MiningError(f"item token {token!r} must not contain ':', '(', ')' or whitespace")
+    # A lone surrogate cannot be written to a UTF-8 file.
+    if not token.isascii():
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MiningError(f"item token {token!r} is not encodable as UTF-8") from None
     return token
 
 
@@ -165,6 +171,7 @@ class WeightTable:
 
     def __post_init__(self):
         for item, w in self.entries.items():
+            check_item_token(item)
             if not 0.0 < w <= 1.0:
                 raise MiningError(f"weight of {item!r} out of (0, 1]: {w}")
 

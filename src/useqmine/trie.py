@@ -1,16 +1,18 @@
 """Prefix trie over sequential patterns with typed (S/I) edges.
 
-Each stored pattern ends at a marked node carrying a weighted-expected-support
-accumulator. One pass of ``sup_calc`` over a database (or an increment) adds
-every sequence's contribution to every stored pattern in a single scan; per
-sequence, a node's state is one sparse row of ``(event position, best
-embedding probability)`` pairs, one per event where its pattern can end.
+A stored pattern's node is one whose wes (weighted expected support
+accumulator) is set; on every other node wes is ``None``. One pass of
+``sup_calc`` over a database (or an increment) adds every sequence's
+contribution to every stored pattern in a single scan; per sequence, a node's
+state is one sparse row of ``(event position, best embedding probability)``
+pairs, one per event where its pattern can end.
 
-Nodes that are only prefixes of stored patterns are kept unmarked: pruning can
-leave sets that are not prefix-closed (a super-pattern may stay frequent while
-its prefix drops out), so end markers are load-bearing, not decorative.
+A node that is only a prefix of stored patterns keeps a ``None`` wes and at
+least one child: pruning can leave sets that are not prefix-closed (a
+super-pattern may stay frequent while its prefix drops out). So the root has
+children exactly when a pattern is stored.
 
-The walks over stored patterns (``patterns``, ``snapshot``, ``node_count``
+The walks over stored patterns (``patterns``, ``snapshot``, the two counts
 and ``prune_below``) all read one preorder, I-edges before S-edges. No walk
 recurses: the preorder and ``sup_calc`` keep their pending nodes on explicit
 stacks, so a pattern may be longer than Python's recursion limit.
@@ -39,13 +41,12 @@ from .model import (
 
 
 class TrieNode:
-    __slots__ = ("kind", "item", "wes", "is_pattern", "children")
+    __slots__ = ("kind", "item", "wes", "children")
 
     def __init__(self, kind: ExtKind | None = None, item: ItemId | None = None):
         self.kind = kind
         self.item = item
-        self.wes = 0.0
-        self.is_pattern = False
+        self.wes: float | None = None  # set only where a stored pattern ends
         self.children: dict[tuple[str, str], TrieNode] = {}
 
 
@@ -60,7 +61,6 @@ def _edges(pattern: Pattern) -> list[tuple[ExtKind, ItemId]]:
 class USeqTrie:
     def __init__(self):
         self.root = TrieNode()
-        self.pattern_count = 0
 
     def insert(self, pattern: Pattern, wes: float = 0.0) -> None:
         """Store a pattern; overwrites the accumulator if already present."""
@@ -75,9 +75,8 @@ class USeqTrie:
         no walk from the root, and return its node (its wes is kept if the
         pattern was stored)."""
         child = node.children.setdefault((kind, item), TrieNode(kind, item))
-        if not child.is_pattern:
-            child.is_pattern = True
-            self.pattern_count += 1
+        if child.wes is None:
+            child.wes = 0.0
         return child
 
     def _walk(self, pattern: Pattern) -> list[TrieNode] | None:
@@ -92,26 +91,24 @@ class USeqTrie:
 
     def __contains__(self, pattern: Pattern) -> bool:
         path = self._walk(pattern)
-        return path is not None and path[-1].is_pattern
+        return path is not None and path[-1].wes is not None
 
     def get_wes(self, pattern: Pattern) -> float:
         path = self._walk(pattern)
-        if path is None or not path[-1].is_pattern:
+        if path is None or path[-1].wes is None:
             raise KeyError(f"pattern not stored: {pattern.events}")
         return path[-1].wes
 
     def remove(self, pattern: Pattern) -> None:
-        """Unmark a pattern and reclaim nodes that no longer serve any pattern."""
+        """Clear a pattern's wes and reclaim nodes that no longer serve any pattern."""
         path = self._walk(pattern)
-        if path is None or not path[-1].is_pattern:
+        if path is None or path[-1].wes is None:
             raise KeyError(f"pattern not stored: {pattern.events}")
-        path[-1].is_pattern = False
-        path[-1].wes = 0.0
-        self.pattern_count -= 1
-        # Bottom-up: drop childless unmarked nodes.
+        path[-1].wes = None
+        # Bottom-up: drop childless nodes whose wes is None.
         for i in range(len(path) - 1, 0, -1):
             node = path[i]
-            if node.children or node.is_pattern:
+            if node.children or node.wes is not None:
                 break
             del path[i - 1].children[(node.kind, node.item)]
 
@@ -138,7 +135,7 @@ class USeqTrie:
         for depth, _, node in self._preorder():
             del path[depth - 1 :]
             path.append(extend(path[-1], node.item, node.kind) if path else single(node.item))
-            if node.is_pattern:
+            if node.wes is not None:
                 yield path[-1], node.wes
 
     def collect(self, min_wes: float) -> list[ScoredPattern]:
@@ -150,30 +147,32 @@ class USeqTrie:
         """Drop every stored pattern with wes < min_wes - EPS; returns count.
 
         Reversed preorder reaches every node after all of its descendants, so
-        a prefix left childless and unmarked goes in the same pass.
+        a prefix left childless with a ``None`` wes goes in the same pass.
         """
         removed = 0
         for _, parent, node in reversed(list(self._preorder())):
-            if node.is_pattern and node.wes < min_wes - EPS:
-                node.is_pattern = False
-                node.wes = 0.0
+            if node.wes is not None and node.wes < min_wes - EPS:
+                node.wes = None
                 removed += 1
-            if not node.children and not node.is_pattern:
+            if not node.children and node.wes is None:
                 del parent.children[(node.kind, node.item)]
-        self.pattern_count -= removed
         return removed
 
     @property
     def node_count(self) -> int:
         return sum(1 for _ in self._preorder())
 
+    @property
+    def pattern_count(self) -> int:
+        return sum(1 for _, _, node in self._preorder() if node.wes is not None)
+
     # -- snapshot serialization ------------------------------------------------
-    # One node per preorder line: "<depth> <kind> <item> <wes>". Unmarked
-    # prefix nodes write "-" in the wes column.
+    # One node per preorder line: "<depth> <kind> <item> <wes>". A node
+    # whose wes is None writes "-" in the wes column.
 
     def snapshot(self) -> str:
         lines = [
-            f"{depth} {node.kind} {node.item} {repr(node.wes) if node.is_pattern else '-'}"
+            f"{depth} {node.kind} {node.item} {'-' if node.wes is None else repr(node.wes)}"
             for depth, _, node in self._preorder()
         ]
         return "\n".join(lines) + ("\n" if lines else "")
@@ -201,7 +200,7 @@ class USeqTrie:
                 raise MiningError(f"snapshot line {lineno}: bad edge kind {kind!r}")
             if depth < 1 or depth > len(stack):
                 raise MiningError(f"snapshot line {lineno}: depth {depth} breaks preorder")
-            if depth != len(stack) and not stack[-1].is_pattern:
+            if depth != len(stack) and stack[-1].wes is None:
                 raise MiningError(f"snapshot line {last}: '-' node has no child")
             if depth == 1 and kind == "I":
                 raise MiningError(f"snapshot line {lineno}: root edges must be S")
@@ -220,17 +219,14 @@ class USeqTrie:
             node = TrieNode(kind, item)
             if wes_s != "-":
                 try:
-                    wes = float(wes_s)
+                    node.wes = float(wes_s)
                 except ValueError:
                     raise MiningError(f"snapshot line {lineno}: bad wes {wes_s!r}") from None
-                check_nonnegative(f"snapshot line {lineno}: wes", wes)
-                node.is_pattern = True
-                node.wes = wes
-                trie.pattern_count += 1
+                check_nonnegative(f"snapshot line {lineno}: wes", node.wes)
             parent.children[(kind, item)] = node
             stack.append(node)
             last = lineno
-        if len(stack) > 1 and not stack[-1].is_pattern:
+        if len(stack) > 1 and stack[-1].wes is None:
             raise MiningError(f"snapshot line {last}: '-' node has no child")
         return trie
 
@@ -285,7 +281,7 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
                 if best > 0.0:
                     cw = wgt_sum + weights.weight(item)
                     cc = itm_cnt + 1
-                    if child.is_pattern:
+                    if child.wes is not None:
                         child.wes += best * (cw / cc)
                     if child.children:
                         stack.append((child, child_row, cw, cc))

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,21 @@ class TestMine:
         assert printed.splitlines() == out.read_text().splitlines()
         assert len(printed.splitlines()) == 5
         assert printed.startswith("{" if fmt == "json-lines" else "(")
+
+    @pytest.mark.parametrize("db", ["db.txt", "missing.txt"])
+    def test_module_run_matches_main(self, files, capsys, db):
+        # ``python -m useqmine.cli`` is the same program as ``main``.
+        argv = ["mine", "--db", os.path.join(files["dir"], db), "--weights", files["w"],
+                "--min-sup", "0.2", "--wgt-fct", "1.0", "--mu", "0.7"]
+        code = main(argv)
+        printed = capsys.readouterr().out
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "useqmine.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.stdout, proc.returncode) == (printed, code)
+        assert code == (0 if db == "db.txt" else 1)
 
     def test_deterministic_output(self, files, tmp_path):
         outs = []

@@ -546,6 +546,18 @@ class TestCheckpointNumbers:
         with pytest.raises(MiningError, match=needle):
             load_state(str(checkpoint), sample_weights)
 
+    @pytest.mark.parametrize("body", [
+        "1 S zz 5.0\n[seq-trie]\n[pfs-trie]\n",  # a stray line before the sections
+        "[seq-trie]\n[pfs-trie]\n[pfs-trie]\n",
+        "[pfs-trie]\n[seq-trie]\n",
+        "[seq-trie]\n",
+    ])
+    def test_sections_out_of_place_refused(self, checkpoint, sample_weights, body):
+        head = checkpoint.read_text().split("\n", 1)[0]
+        checkpoint.write_text(f"{head}\n{body}")
+        with pytest.raises(MiningError, match=r"needs \[seq-trie\] as line 2"):
+            load_state(str(checkpoint), sample_weights)
+
     def test_pattern_in_both_tries(self, checkpoint, sample_weights):
         head = checkpoint.read_text().split("\n", 1)[0]
         checkpoint.write_text(f"{head}\n{incremental.CHECKPOINT_SEQ}\n1 S a -\n2 S b 0.5\n"

@@ -18,6 +18,7 @@ from useqmine import (
     USequence,
     WeightTable,
     extend,
+    parse_pattern,
     s_weight,
     single,
 )
@@ -141,6 +142,24 @@ class TestValidation:
             WeightTable({"a": 0.0})
         with pytest.raises(MiningError):
             WeightTable({"a": 1.2})
+
+    @pytest.mark.parametrize("token", ["\ud800", "a\udfffb"])
+    def test_token_not_encodable_as_utf8_refused(self, token):
+        # No UTF-8 file can hold a lone surrogate, so no writer could save it.
+        with pytest.raises(MiningError, match="UTF-8"):
+            check_item_token(token)
+        with pytest.raises(MiningError):
+            ProbItem(token, 0.5)
+        with pytest.raises(MiningError):
+            parse_pattern(f"({token})")
+        with pytest.raises(MiningError):
+            WeightTable({token: 1.0})
+
+    @pytest.mark.parametrize("token", ["a b", "a:b", "(a)", "-1", ""])
+    def test_weight_table_keys_are_item_tokens(self, token):
+        # ``write_weights`` would write a line ``parse_weights`` refuses.
+        with pytest.raises(MiningError):
+            WeightTable({token: 1.0})
 
     def test_pattern_itemset_order(self):
         with pytest.raises(MiningError):

@@ -10,6 +10,7 @@ from useqmine import (
     UncertainDatabase,
     USeqTrie,
     WeightTable,
+    extend,
     meets,
     oracle_wes,
     sup_calc,
@@ -297,7 +298,7 @@ def test_prune_below_keeps_exactly_the_patterns_that_meet(trie, min_wes):
     assert removed == len(before) - len(after)
     assert trie.pattern_count == len(after)
     nodes = nodes_of(trie)
-    assert all(node.children or node.is_pattern for node in nodes)
+    assert all(node.children or node.wes is not None for node in nodes)
     assert trie.node_count == len(nodes)
 
 
@@ -326,3 +327,47 @@ def test_add_child_stores_what_insert_stores(pats):
     assert added.snapshot() == inserted.snapshot()
     assert added.pattern_count == inserted.pattern_count
 
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trie_agrees_with_a_dict_model(data):
+    # Every operation is applied to a trie and to ``{pattern: wes}``; after
+    # each, the trie's reads match the dict, a node whose wes is None is
+    # exactly a prefix-only node (it has a child), and a snapshot round trips.
+    trie, model = USeqTrie(), {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        ops = ["insert", "prune_below"] + ["add_child", "remove"] * bool(model)
+        op = data.draw(st.sampled_from(ops))
+        if op == "insert":
+            pat, wes = data.draw(PATTERNS), data.draw(WES)
+            trie.insert(pat, wes)
+            model[pat] = wes
+        elif op == "add_child":
+            pat = data.draw(st.sampled_from(sorted(model, key=str)))
+            kind, item = data.draw(st.tuples(st.sampled_from("SI"), st.sampled_from("abc")))
+            if kind == "I" and item <= pat.events[-1][-1]:
+                kind = "S"
+            trie.add_child(trie._walk(pat)[-1], kind, item)
+            model.setdefault(extend(pat, item, kind), 0.0)
+        elif op == "remove":
+            pat = data.draw(st.sampled_from(sorted(model, key=str)))
+            trie.remove(pat)
+            del model[pat]
+        else:
+            min_wes = data.draw(WES)
+            kept = {pat: wes for pat, wes in model.items() if meets(wes, min_wes)}
+            assert trie.prune_below(min_wes) == len(model) - len(kept)
+            model = kept
+        assert dict(trie.patterns()) == model
+        assert trie.pattern_count == len(model)
+        for pat in [*model, data.draw(PATTERNS)]:
+            assert (pat in trie) == (pat in model)
+            if pat in model:
+                assert trie.get_wes(pat) == model[pat]
+            else:
+                with pytest.raises(KeyError):
+                    trie.get_wes(pat)
+        nodes = nodes_of(trie)
+        assert all(node.wes is not None or node.children for node in nodes)
+        assert sum(node.wes is not None for node in nodes) == len(model)
+        assert USeqTrie.from_snapshot(trie.snapshot()).snapshot() == trie.snapshot()
