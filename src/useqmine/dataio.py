@@ -4,9 +4,9 @@ Uncertain sequence file: one sequence per line, whitespace-separated tokens.
 ``item:prob`` is an item occurrence, ``-1`` closes an event, ``-2`` closes the
 sequence and must be the last token; precise SPMF sequence files follow the
 same grammar with bare items. Items inside an event are re-sorted ascending on
-load. Weight file: ``item weight`` per line. The sequence readers check syntax
-only; ``ProbItem`` and ``Event`` check what they hold, and each error names
-its line.
+load. Weight file: ``item weight`` per line. The readers build sequences
+straight into their item index, checking each distinct item once per file and
+each probability and event as they go; every error names its line.
 
 Generation turns a precise SPMF dataset into an uncertain weighted one by
 drawing a Gaussian probability per item occurrence and a Gaussian weight per
@@ -22,14 +22,11 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .model import (
-    Event,
     ItemId,
     MiningError,
     Pattern,
-    ProbItem,
     ScoredPattern,
     UncertainDatabase,
     USequence,
@@ -194,34 +191,36 @@ def _events(tokens: list[str]) -> list[list[str]]:
     return events
 
 
-_by_item = attrgetter("item")
-
-
 def parse_uncertain_db(path: str) -> UncertainDatabase:
-    """Read an uncertain sequence file. The parser checks only the ``item:prob``
-    shape and the number; ``ProbItem`` and ``Event`` check the item token, the
-    probability range and repeated items, and their error gets the line."""
+    """Read an uncertain sequence file. Each token's shape, number, item (once
+    per distinct token, which its occurrences then share) and probability
+    range are checked in turn, then its event's repeated items."""
+    seen: dict[str, ItemId] = {}
+
+    def event(raw: list[str]) -> list[tuple[ItemId, float]]:
+        pairs = []
+        for tok in raw:
+            item, sep, prob_s = tok.partition(":")
+            if not sep or not item or not prob_s:
+                raise MiningError(f"malformed token {tok!r}, expected item:prob")
+            try:
+                prob = float(prob_s)
+            except ValueError:
+                raise MiningError(f"bad probability in {tok!r}") from None
+            item = seen.get(item) or seen.setdefault(item, check_item_token(item))
+            if not 0.0 < prob <= 1.0:
+                raise MiningError(f"probability of {item!r} out of (0, 1]: {prob}")
+            pairs.append((item, prob))
+        pairs.sort()  # a repeated item sorts next to itself; ``USequence.of`` reports it
+        return pairs
+
     sequences: list[USequence] = []
     for lineno, line in _lines(path):
         tokens = line.split()
         if not tokens:
             continue
         try:
-            events: list[Event] = []
-            for raw in _events(tokens):
-                items: list[ProbItem] = []
-                for tok in raw:
-                    item, sep, prob_s = tok.partition(":")
-                    if not sep or not item or not prob_s:
-                        raise MiningError(f"malformed token {tok!r}, expected item:prob")
-                    try:
-                        prob = float(prob_s)
-                    except ValueError:
-                        raise MiningError(f"bad probability in {tok!r}") from None
-                    items.append(ProbItem(item, prob))
-                items.sort(key=_by_item)
-                events.append(Event(tuple(items)))
-            sequences.append(USequence(tuple(events)))
+            sequences.append(USequence.of(map(event, _events(tokens))))
         except MiningError as exc:
             raise ParseError(path, lineno, str(exc)) from None
     return UncertainDatabase(tuple(sequences))
@@ -231,8 +230,8 @@ def write_uncertain_db(path: str, db: UncertainDatabase) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for seq in db.sequences:
             parts: list[str] = []
-            for ev in seq.events:
-                parts.extend(f"{pi.item}:{pi.prob!r}" for pi in ev.items)
+            for probs in seq.event_maps():
+                parts.extend(f"{item}:{prob!r}" for item, prob in sorted(probs.items()))
                 parts.append("-1")
             parts.append("-2")
             fh.write(" ".join(parts) + "\n")
@@ -260,7 +259,7 @@ def parse_weights(path: str) -> WeightTable:
         if item in entries:
             raise ParseError(path, lineno, f"duplicate weight for {item!r}")
         entries[item] = w
-    return WeightTable(entries)
+    return WeightTable.checked(entries)
 
 
 def write_weights(path: str, weights: WeightTable) -> None:
@@ -279,7 +278,7 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
     ``spmf-seq`` lines follow the sequence grammar with bare items;
     ``spmf-itemset`` lines are one transaction each, every item its own
     event. Items repeated within an event (within a transaction) are dropped.
-    ``ProbItem`` checks each item token, so an item holding ``:`` or a
+    Each distinct item token is checked once, so an item holding ``:`` or a
     separator token in a transaction is an error naming its line.
 
     Draws happen in file order: all probabilities first (sequence by
@@ -297,15 +296,17 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
             continue
         try:
             raw = _events(tokens) if fmt == "spmf-seq" else [[tok] for tok in dict.fromkeys(tokens)]
-            events: list[Event] = []
+            events = []
             for items in raw:
                 probs = {
                     item: _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std))
                     for item in dict.fromkeys(items)
                 }
+                for item in sorted(probs.keys() - seen.keys()):
+                    check_item_token(item)
                 seen.update(probs)
-                events.append(Event(tuple(ProbItem(it, probs[it]) for it in sorted(probs))))
-            sequences.append(USequence(tuple(events)))
+                events.append(sorted(probs.items()))
+            sequences.append(USequence.of(events))
         except MiningError as exc:
             raise ParseError(path, lineno, str(exc)) from None
     entries = {

@@ -5,13 +5,13 @@ occurrences in its sequence, grow candidate patterns depth-first while an
 upper bound on weighted expected support clears the threshold, then verify
 every candidate with one scan of the original database and drop the rest.
 
-A preprocessed sequence is only its item index, read off
-``model.item_index``: each item maps to the ascending positions of the events
-holding it and its suffix-max probability at each, and the items run by
-their last position, latest first. Growth is a pseudo-projection over that
-index (as in PrefixSpan): a projection entry is a (sequence, event) anchor,
-and ``determine`` reads each item's best remaining probability with one
-bisect and stops at the first item whose last occurrence lies before the
+A preprocessed sequence is only its stored item index with the probabilities
+rewritten: each item maps to the ascending positions of the events holding it
+(the stored tuple, shared) and its suffix-max probability at each, and the
+items run by their last position, latest first. Growth is a pseudo-projection
+over that index (as in PrefixSpan): a projection entry is a (sequence, event)
+anchor, and ``determine`` reads each item's best remaining probability with
+one bisect and stops at the first item whose last occurrence lies before the
 anchor. It returns one raw slot per extension, ``[prob_sum, prob_max,
 entries]``, and builds no object for it: growth bounds each slot where it
 lies, and only a generated extension gets a trie node, added under its
@@ -165,11 +165,13 @@ def preprocess(
 
 
 def _index_sequence(seq: USequence) -> PSequence:
-    index = {}
-    for item, occ in sorted(item_index(seq).items(), key=lambda kv: -kv[1][-1][0]):
-        ks, probs = zip(*occ)
-        index[item] = (ks, tuple(accumulate(reversed(probs), max))[::-1])
-    return PSequence(index, len(seq.events) - 1, seq.events[-1].items[-1].item)
+    items = sorted(item_index(seq).items(), key=lambda kv: -kv[1][0][-1])
+    index = {  # an item occurring once keeps its stored pair
+        item: occ if len(occ[0]) == 1 else (occ[0], tuple(accumulate(reversed(occ[1]), max))[::-1])
+        for item, occ in items
+    }
+    last = seq.n_events - 1
+    return PSequence(index, last, max(item for item, (ks, _) in items if ks[-1] == last))
 
 
 def prune_index(pdb: PreprocessedDB, keep: set[ItemId], weights: WeightTable) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 # Absolute tolerance used by every threshold classification in the package.
 # Accumulation order must never flip a frequent/infrequent decision.
@@ -97,41 +97,69 @@ class Event:
                     raise MiningError(f"duplicate item {a.item!r} in event")
                 raise MiningError(f"event items not strictly ascending: {[pi.item for pi in items]}")
 
-    def prob_map(self) -> dict[ItemId, float]:
-        return {pi.item: pi.prob for pi in self.items}
+
+Occurrences = tuple[tuple[int, ...], tuple[float, ...]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class USequence:
-    """An uncertain sequence: ordered events."""
+    """An uncertain sequence, stored as its item index.
 
-    events: tuple[Event, ...]
+    ``index`` maps each item to its ``Occurrences``: the ascending positions
+    of the events holding it and its probability at each. Items run in order
+    of first occurrence (events in order, items ascending inside one), and
+    ``n_events`` counts the events. This is the one encoding of a sequence:
+    the miner's projection index, the support scan and the WAM sums read it
+    as stored, and ``events`` is a view built from it on each call.
+    """
 
-    def __post_init__(self):
-        if not self.events:
+    index: dict[ItemId, Occurrences]
+    n_events: int
+
+    def __init__(self, events: Iterable[Event]):
+        self._fill([(pi.item, pi.prob) for pi in ev.items] for ev in events)
+
+    @classmethod
+    def of(cls, events: Iterable[list[tuple[ItemId, float]]]) -> USequence:
+        """The sequence of each event's checked ``(item, prob)`` pairs, items ascending."""
+        seq = object.__new__(cls)
+        seq._fill(events)
+        return seq
+
+    def _fill(self, events: Iterable[list[tuple[ItemId, float]]]) -> None:
+        index: dict[ItemId, tuple[list[int], list[float]]] = {}
+        for k, pairs in enumerate(events):
+            for item, p in pairs:
+                ks, ps = index.setdefault(item, ([], []))
+                if ks and ks[-1] == k:
+                    raise MiningError(f"duplicate item {item!r} in event")
+                ks.append(k)
+                ps.append(p)
+        if not index:  # no event is empty, so an empty index means no event
             raise MiningError("sequence has no events")
+        object.__setattr__(self, "index", {it: (tuple(ks), tuple(ps)) for it, (ks, ps) in index.items()})
+        object.__setattr__(self, "n_events", k + 1)
+
+    def event_maps(self) -> list[dict[ItemId, float]]:
+        """Each event as item -> probability, items in index order."""
+        maps: list[dict[ItemId, float]] = [{} for _ in range(self.n_events)]
+        for item, (ks, ps) in self.index.items():
+            for k, p in zip(ks, ps):
+                maps[k][item] = p
+        return maps
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(Event(tuple(ProbItem(*pi) for pi in sorted(m.items()))) for m in self.event_maps())
 
     @property
     def length(self) -> int:
-        return sum(len(e.items) for e in self.events)
+        return sum(len(ks) for ks, _ in self.index.values())
 
 
-def item_index(seq: USequence) -> dict[ItemId, list[tuple[int, float]]]:
-    """The sequence encoded by item: each item -> its ``(event position, prob)``
-    occurrences in ascending event order.
-
-    This is the one encoding the miner's projection index and the support scan
-    read sequences through; an item the sequence lacks is simply not a key.
-    """
-    index: dict[ItemId, list[tuple[int, float]]] = {}
-    for k, ev in enumerate(seq.events):
-        for pi in ev.items:
-            occ = index.get(pi.item)
-            if occ is None:
-                index[pi.item] = [(k, pi.prob)]
-            else:
-                occ.append((k, pi.prob))
-    return index
+def item_index(seq: USequence) -> dict[ItemId, Occurrences]:
+    """The sequence's stored index (see ``USequence``)."""
+    return seq.index
 
 
 @dataclass(frozen=True)
@@ -146,15 +174,14 @@ class UncertainDatabase:
         return iter(self.sequences)
 
     def alphabet(self) -> list[ItemId]:
-        return sorted({pi.item for s in self.sequences for e in s.events for pi in e.items})
+        return sorted({item for seq in self.sequences for item in seq.index})
 
     def item_frequencies(self) -> dict[ItemId, int]:
         """Occurrence count per item over the whole database."""
         freq: dict[ItemId, int] = {}
         for seq in self.sequences:
-            for ev in seq.events:
-                for pi in ev.items:
-                    freq[pi.item] = freq.get(pi.item, 0) + 1
+            for item, (ks, _) in seq.index.items():
+                freq[item] = freq.get(item, 0) + len(ks)
         return freq
 
     @staticmethod
@@ -174,6 +201,13 @@ class WeightTable:
             check_item_token(item)
             if not 0.0 < w <= 1.0:
                 raise MiningError(f"weight of {item!r} out of (0, 1]: {w}")
+
+    @classmethod
+    def checked(cls, entries: dict[ItemId, float]) -> WeightTable:
+        """A table of entries its reader checked as it read each line."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "entries", entries)
+        return table
 
     def weight(self, item: ItemId) -> float:
         try:

@@ -37,7 +37,7 @@ def oracle_max_pr_s(pattern: Pattern, seq: USequence) -> float:
     strictly later events in order, with every item of the itemset present in
     its event. Returns 0.0 when no embedding exists.
     """
-    event_maps = [ev.prob_map() for ev in seq.events]
+    event_maps = seq.event_maps()
     n = len(event_maps)
     counter = 0
 
@@ -78,7 +78,7 @@ def max_pr_dynamic(pattern: Pattern, seq: USequence) -> float:
     Independent of both the enumeration above and the trie scan; the three
     must agree.
     """
-    event_maps = [ev.prob_map() for ev in seq.events]
+    event_maps = seq.event_maps()
     n = len(event_maps)
     prev = [1.0] * (n + 1)  # prev[k]: best for first j itemsets ending before event k
     for itemset in pattern.events:
@@ -112,9 +112,9 @@ def _check_guard(db: UncertainDatabase) -> None:
     if db.size > MAX_SEQUENCES:
         raise OracleSizeError(f"{db.size} sequences exceeds oracle guard of {MAX_SEQUENCES}")
     for pos, seq in enumerate(db.sequences, start=1):
-        if len(seq.events) > MAX_EVENTS:
+        if seq.n_events > MAX_EVENTS:
             raise OracleSizeError(
-                f"sequence {pos} has {len(seq.events)} events, guard is {MAX_EVENTS}"
+                f"sequence {pos} has {seq.n_events} events, guard is {MAX_EVENTS}"
             )
     alpha = db.alphabet()
     if len(alpha) > MAX_ALPHABET:

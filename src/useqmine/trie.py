@@ -244,7 +244,7 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     value at the same position. The node's contribution for the sequence is
     its best value times the running mean item weight carried down the walk.
 
-    The sequence is read through ``item_index``: a child whose item the
+    The sequence is read through its stored index: a child whose item the
     sequence lacks is skipped with one dict miss, together with its whole
     subtree, and a matched child touches only the positions where its item
     occurs. The walk keeps its frames on an explicit stack, so a long pattern
@@ -254,7 +254,7 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     """
     for seq in db_part.sequences:
         index = item_index(seq)
-        end = (len(seq.events), 0.0)  # past every position
+        end = (seq.n_events, 0.0)  # past every position
         stack = [(trie.root, ((-1, 1.0),), 0.0, 0)]
         while stack:
             node, row, wgt_sum, itm_cnt = stack.pop()
@@ -267,17 +267,20 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
                 best = run = 0.0
                 rest = iter(row)
                 pos, val = next(rest)
-                for k, p in occ:
+                ks, ps = occ
+                j = 0
+                for k in ks:
                     while pos < k:
                         if val > run:
                             run = val
                         pos, val = next(rest, end)
                     b = run if s_step else val if pos == k else 0.0
                     if b > 0.0:
-                        v = p * b
+                        v = ps[j] * b
                         if v > best:
                             best = v
                         child_row.append((k, v))
+                    j += 1
                 if best > 0.0:
                     cw = wgt_sum + weights.weight(item)
                     cc = itm_cnt + 1

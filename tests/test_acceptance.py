@@ -455,16 +455,21 @@ def test_criterion_9_supcalc_scaling():
     sizes, times = [], []
     it = iter(pool)
     trie = USeqTrie()
+    nodes = trie.node_count
     for target in (400, 800, 1600, 3200):
-        while trie.node_count < target:
+        # The pool is level-wise, so each pattern extends one already stored
+        # and its insert adds exactly one node.
+        while nodes < target:
             trie.insert(next(it), 0.0)
+            nodes += 1
+        assert trie.node_count == nodes
         best = None
         for _ in range(3):
             t0 = time.perf_counter()
             sup_calc(trie, db, wt)
             dt = time.perf_counter() - t0
             best = dt if best is None or dt < best else best
-        sizes.append(trie.node_count)
+        sizes.append(nodes)
         times.append(best)
 
     xs = [math.log(s) for s in sizes]

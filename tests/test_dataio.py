@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -24,6 +25,7 @@ from useqmine import (
     write_uncertain_db,
     write_weights,
 )
+from useqmine import dataio, model
 from useqmine.dataio import Xoshiro256StarStar
 from useqmine.model import check_item_token
 
@@ -33,9 +35,23 @@ from conftest import (
     P,
     check_reads_or_refuses,
     databases,
+    db_from_text,
     random_db,
     spliced_bytes,
 )
+
+
+def count_token_checks(monkeypatch):
+    """Record every ``check_item_token`` call the readers and the model make."""
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return check_item_token(token)
+
+    monkeypatch.setattr(dataio, "check_item_token", counting)
+    monkeypatch.setattr(model, "check_item_token", counting)
+    return calls
 
 
 class TestParseDb:
@@ -82,6 +98,41 @@ class TestParseDb:
         except ParseError as exc:
             assert needle in str(exc)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            # Each message, and which error of a line wins, as recorded before
+            # the reader built sequences straight into their item index.
+            ("a:0.5 a:0.6 b:x -1 -2", "bad probability in 'b:x'"),
+            ("b:0.5 b:0.6 a:0.5 a:0.2 -1 -2", "duplicate item 'a' in event"),
+            ("a:0.5 a:0.6 x)(y:0.5 -1 -2",
+             "item token 'x)(y' must not contain ':', '(', ')' or whitespace"),
+            ("a:0.5 a:0.6 -1 b:x -1 -2", "duplicate item 'a' in event"),
+            ("a:1.5 b:x -1 -2", "probability of 'a' out of (0, 1]: 1.5"),
+            ("x)(y:1.5 -1 -2", "item token 'x)(y' must not contain ':', '(', ')' or whitespace"),
+            ("a:0.5 -1 b:x -1 -1 -2", "empty event"),
+            ("a:2 a:0.5 -1 -2", "probability of 'a' out of (0, 1]: 2.0"),
+            ("a:nan -1 -2", "probability of 'a' out of (0, 1]: nan"),
+            ("c:0.5 a:0.5 c:0.2 a0.1 -1 -2", "malformed token 'a0.1', expected item:prob"),
+        ],
+    )
+    def test_error_message_and_precedence(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("a:0.9 -1 -2\n" + line + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_uncertain_db(str(path))
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_each_distinct_item_checked_once(self, tmp_path, monkeypatch):
+        calls = count_token_checks(monkeypatch)
+        db = db_from_text(tmp_path, DB_TEXT)
+        assert sorted(calls) == db.alphabet()
+        # Every occurrence of an item holds the one string object checked.
+        first = {}
+        for seq in db.sequences:
+            for item in seq.index:
+                assert first.setdefault(item, item) is item
+
     def test_round_trip(self, tmp_path):
         rng = random.Random(19)
         db = random_db(rng)
@@ -116,6 +167,31 @@ class TestParseWeights:
         path.write_text("a 0.8\na 0.9\n")
         with pytest.raises(ParseError, match="duplicate"):
             parse_weights(str(path))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("b 2", "weight out of (0, 1]: 2.0"),
+            ("b nan", "weight out of (0, 1]: nan"),
+            ("x)(y z", "item token 'x)(y' must not contain ':', '(', ')' or whitespace"),
+            ("-1 0.5", "invalid item token '-1'"),
+            ("b x", "bad weight 'x'"),
+            ("a 0.7", "duplicate weight for 'a'"),
+        ],
+    )
+    def test_error_message_and_precedence(self, tmp_path, line, message):
+        path = tmp_path / "w.txt"
+        path.write_text("a 0.5\n" + line + "\nc\n")
+        with pytest.raises(ParseError) as err:
+            parse_weights(str(path))
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_each_line_checked_once(self, tmp_path, monkeypatch):
+        calls = count_token_checks(monkeypatch)
+        path = tmp_path / "w.txt"
+        path.write_text(WEIGHTS_TEXT)
+        table = parse_weights(str(path))
+        assert calls == list(table.entries)
 
     def test_empty_file_empty_table(self, tmp_path):
         path = tmp_path / "w.txt"
@@ -192,10 +268,23 @@ class TestGen:
         with pytest.raises(MiningError):
             GenConfig(seed=-1)
 
+    def test_written_file_is_pinned(self, tmp_path):
+        # Digest recorded when sequences were still stored as events.
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("1 -1 2 3 -1 -2\n4 -1 1 3 -1 2 -1 -2\n3 1 -1 1 -1 5 -1 -2\n" * 4)
+        db, _ = gen_uncertain(str(src), GenConfig(seed=5))
+        write_uncertain_db(str(out), db)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b4e4d72570b1ec9ed254e901938c1c1d232e95a9ebb643e831ec28b1cb455991"
+        )
+
     def test_bad_input_reports_line(self, tmp_path):
         src = tmp_path / "in.txt"
         for fmt, text, needle in [
             ("spmf-seq", "1 -1 -2\n2 -1\n", "must end with -2"),
+            # An event's items are checked in ascending order, a transaction's in input order.
+            ("spmf-seq", "1 -1 -2\n1 b:c a:d -1 -2\n", "'a:d' must not contain ':'"),
+            ("spmf-itemset", "1\nb:c a:d\n", "'b:c' must not contain ':'"),
             ("spmf-seq", "1 -1 -2\n1 a:b -1 -2\n", "'a:b' must not contain ':'"),
             ("spmf-itemset", "1 2\n1 2 a:b\n", "'a:b' must not contain ':'"),
             ("spmf-itemset", "1 2\n1 -1 2\n", "invalid item token '-1'"),
@@ -351,13 +440,10 @@ TOKENS = st.text(st.sampled_from("ab()-1: ") | st.characters(), min_size=1, max_
     accepted
 )
 ITEMSETS = st.lists(TOKENS, min_size=1, max_size=3, unique=True).map(lambda xs: tuple(sorted(xs)))
-# The tokens a UTF-8 file can hold: ``check_item_token`` also accepts a lone
-# surrogate, which no reader produces and no writer can encode.
-FILE_TOKENS = TOKENS.filter(lambda t: not any("\ud800" <= c <= "\udfff" for c in t))
 
 
 @settings(max_examples=100, deadline=None)
-@given(db=st.lists(FILE_TOKENS, min_size=1, max_size=5, unique=True).flatmap(
+@given(db=st.lists(TOKENS, min_size=1, max_size=5, unique=True).flatmap(
     lambda items: databases(items=items)))
 def test_database_write_parse_round_trip(tmp_path_factory, db):
     # Probabilities are written with repr, so they read back exactly.
@@ -367,7 +453,7 @@ def test_database_write_parse_round_trip(tmp_path_factory, db):
 
 
 @settings(max_examples=100, deadline=None)
-@given(entries=st.dictionaries(FILE_TOKENS, st.floats(0.0, 1.0, exclude_min=True), max_size=6))
+@given(entries=st.dictionaries(TOKENS, st.floats(0.0, 1.0, exclude_min=True), max_size=6))
 def test_weights_write_parse_round_trip(tmp_path_factory, entries):
     path = tmp_path_factory.getbasetemp() / "rt-w.txt"
     write_weights(str(path), WeightTable(entries))

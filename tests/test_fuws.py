@@ -75,8 +75,10 @@ class TestPreprocess:
     def test_shape_preserved(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
         for seq, pseq in zip(sample_db.sequences, pdb.sequences):
-            positions = {it: tuple(k for k, _ in occ) for it, occ in item_index(seq).items()}
-            assert {it: ks for it, (ks, _) in pseq.index.items()} == positions
+            # The stored index's position tuples are shared, not copied.
+            positions = {it: ks for it, (ks, _) in item_index(seq).items()}
+            assert pseq.index.keys() == positions.keys()
+            assert all(pseq.index[it][0] is ks for it, ks in positions.items())
             assert pseq.last_event == len(seq.events) - 1
             assert pseq.last_item == seq.events[-1].items[-1].item
 

@@ -258,7 +258,7 @@ def dense_wes(pat, db, weights, wes):
     for _, item in edges:
         cw += weights.weight(item)
     for seq in db:
-        probs = [ev.prob_map() for ev in seq.events]
+        probs = seq.event_maps()
         ar = before_max = [1.0] * len(probs)
         for kind, item in edges:
             src = before_max if kind == "S" else ar
@@ -288,8 +288,8 @@ dense_patterns = st.lists(itemsets(DENSE_ITEMS), min_size=1, max_size=4).map(
     stored=st.dictionaries(dense_patterns, st.sampled_from([0.0, 0.375, 2.5]), min_size=1, max_size=8),
 )
 def test_sup_calc_rows_match_dense_recurrence_bit_for_bit(db, stored):
-    # Prefixes of stored patterns that are not stored themselves stay
-    # unmarked nodes; starting values other than 0.0 are an increment's fold.
+    # Prefixes of stored patterns that are not stored themselves keep a None
+    # wes; starting values other than 0.0 are an increment's fold.
     trie = USeqTrie()
     for pat, wes in stored.items():
         trie.insert(pat, wes)

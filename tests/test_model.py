@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
@@ -19,12 +19,14 @@ from useqmine import (
     WeightTable,
     extend,
     parse_pattern,
+    parse_uncertain_db,
     s_weight,
     single,
+    write_uncertain_db,
 )
-from useqmine.model import check_item_token
+from useqmine.model import check_item_token, item_index
 
-from conftest import P
+from conftest import P, databases
 
 
 class TestSWeight:
@@ -242,3 +244,34 @@ def test_database_helpers(sample_db):
     both = UncertainDatabase.concat([sample_db, sample_db])
     assert both.size == 12
     assert both.sequences == sample_db.sequences * 2
+
+
+def naive_index(events):
+    """Item -> (positions, probabilities), built one occurrence at a time in
+    event order, so items run in order of first occurrence."""
+    index = {}
+    for k, ev in enumerate(events):
+        for pi in ev.items:
+            ks, ps = index.get(pi.item, ((), ()))
+            index[pi.item] = (ks + (k,), ps + (pi.prob,))
+    return index
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=databases())
+def test_stored_index_encodes_the_events_view(tmp_path_factory, db):
+    for seq in db.sequences:
+        events = seq.events
+        assert USequence(events) == seq
+        want = naive_index(events)
+        # Key order too: the WAM sums add items in order of first occurrence.
+        assert list(item_index(seq).items()) == list(want.items())
+        assert seq.n_events == len(events)
+        assert seq.length == sum(len(ev.items) for ev in events)
+    occurrences = [pi.item for seq in db.sequences for ev in seq.events for pi in ev.items]
+    assert list(db.item_frequencies().items()) == [
+        (item, occurrences.count(item)) for item in dict.fromkeys(occurrences)
+    ]
+    path = tmp_path_factory.getbasetemp() / "index-rt.txt"
+    write_uncertain_db(str(path), db)
+    assert parse_uncertain_db(str(path)) == db
