@@ -8,11 +8,11 @@ every candidate with one scan of the original database and drop the rest.
 A preprocessed sequence is only its stored item index with the probabilities
 rewritten: each item maps to the ascending positions of the events holding it
 (the stored tuple, shared) and its suffix-max probability at each, and the
-items run by their last position, latest first. Growth is a pseudo-projection
+items run by (last position, item), latest first. Growth is a pseudo-projection
 over that index (as in PrefixSpan): a projection entry is a (sequence, event)
 anchor, and ``determine`` reads each item's best remaining probability with
-one bisect and stops at the first item whose last occurrence lies before the
-anchor. It returns one raw slot per extension, ``[prob_sum, prob_max,
+one bisect and stops at the first item not left after the anchor (event,
+open item). It returns one raw slot per extension, ``[prob_sum, prob_max,
 entries]``, and builds no object for it: growth bounds each slot where it
 lies, and only a generated extension gets a trie node, added under its
 parent's. Growth projects it over its slot's entries alone, so ``project``
@@ -34,18 +34,18 @@ looser bound ``top`` puts ``maxpr * peak prob * projected support`` in place
 of ``est_sup``; ``mine_trie(bound="top")`` keeps it for benchmark comparison.
 Both bounds are computed in one place, the loop of ``_grow``.
 
-After the root level, every item whose single-item pattern was not generated
-leaves the index (``prune_index``), as PrefixSpan drops infrequent items
-before it projects. This is exact: below the root ``maxpr <= 1``, each
-entry's best probability for b is at most its sequence's maximum, the entries
-are a subset of the sequences in the same order, and ``est_wgt`` is at most
-the root's. Float ``+``, ``*`` and ``max`` are monotone, so under either
-bound no extension by b gets a larger ``est`` than the pattern (b) got at the
-root, and a dropped item is never generated below it. Dropped items still
-count towards ``est_wgt``: each sequence records those that can be the
-heaviest one left in a suffix, as (weight, last position, item), heaviest
-first, and growth looks for one left in the projected suffixes only while
-the live candidates' largest weight is below the heaviest dropped one.
+Below the root, a node bounds only the items its parent generated: the
+parent's generated S-items, plus its generated I-items when the node is an
+I-extension, as PrefixSpan drops infrequent items from every projected
+database; ``prune_index`` is the root's case. This is exact. Below a node P,
+maxpr, each entry's best remaining probability for an item b, the entries (a
+subset, in the same order) and ``est_wgt`` can only shrink, and float ``+``,
+``*`` and ``max`` are monotone, so no descendant bounds b higher than P's
+S-slot for b did, or, along an I-only chain, P's I-slot. Items without a slot
+still count towards ``est_wgt``, the heaviest item left in the projected
+suffixes: each sequence keeps a frontier of the items that can be that one,
+as (weight, last position, item), heaviest first, and growth reads it only
+while the node's slots weigh less than its parent's ``est_wgt``.
 """
 
 from __future__ import annotations
@@ -82,16 +82,16 @@ Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
 @dataclass(slots=True)
 class PSequence:
     # Item -> (ascending positions of the events holding it, the item's
-    # suffix-max probability at each position), ordered by the item's last
-    # position, latest first.
+    # suffix-max probability at each position), ordered by (the item's last
+    # position, the item), latest first.
     index: dict[ItemId, tuple[tuple[int, ...], tuple[float, ...]]]
     # The final event's position and largest item: an anchor on that item
     # there has nothing left to extend into.
     last_event: int
     last_item: ItemId
-    # Items ``prune_index`` dropped from ``index`` that can be the heaviest
-    # one left in a suffix, as (weight, last position, item), heaviest first.
-    pruned: tuple[tuple[float, int, ItemId], ...] = ()
+    # The items, pruned or not, that can be the heaviest one left in a
+    # suffix, as (weight, last position, item), heaviest first.
+    frontier: tuple[tuple[float, int, ItemId], ...]
 
 
 @dataclass
@@ -99,7 +99,6 @@ class PreprocessedDB:
     """Input database as per-sequence item indexes of suffix-max probabilities."""
 
     sequences: tuple[PSequence, ...]
-    pruned_max: float = 0.0  # the largest weight of a pruned item, 0.0 if none
 
 
 # A projection entry (seq, event) anchors sequence ``seq`` at event ``event``,
@@ -121,8 +120,9 @@ class ProjectedDB:
 class BoundRecord:
     """One evaluated extension, kept when a trace list is supplied.
 
-    The root level records every item. Below the root, records exist only
-    for extensions by items that were not pruned after the root level.
+    The root level records every item. Below it, a node records only the
+    extensions by items its parent generated: the parent's generated
+    S-items, plus its generated I-items when the node is an I-extension.
     """
 
     pattern: Pattern
@@ -139,7 +139,7 @@ class MineStats:
     # The database's WAM sums; ``init_mining`` seeds its state from them.
     wam_acc: WamAccumulator = field(default_factory=WamAccumulator)
     min_wes: float = 0.0
-    bounded: int = 0  # extensions growth bounded, one per (kind, item) slot
+    bounded: int = 0  # (kind, item) slots bounded: all at the root, inherited ones below
     candidates: int = 0
     false_positives: int = 0
     survivors: int = 0
@@ -161,70 +161,61 @@ def preprocess(
     """
     acc = WamAccumulator()
     acc.add(db, weights)
-    return PreprocessedDB(tuple(_index_sequence(seq) for seq in db.sequences)), acc
+    shared: dict = {}  # equal frontiers and their entries, stored once
+    return PreprocessedDB(tuple(_index_sequence(s, weights.entries, shared) for s in db.sequences)), acc
 
 
-def _index_sequence(seq: USequence) -> PSequence:
-    items = sorted(item_index(seq).items(), key=lambda kv: -kv[1][0][-1])
+def _index_sequence(seq: USequence, weight: dict[ItemId, float], shared: dict) -> PSequence:
+    items = sorted(item_index(seq).items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
     index = {  # an item occurring once keeps its stored pair
         item: occ if len(occ[0]) == 1 else (occ[0], tuple(accumulate(reversed(occ[1]), max))[::-1])
         for item, occ in items
     }
-    last = seq.n_events - 1
-    return PSequence(index, last, max(item for item, (ks, _) in items if ks[-1] == last))
+    # An item is left in a suffix when its (last, item) is after the anchor's
+    # (event, open_item), so only one heavier than every item after it can
+    # be the heaviest one left. The frontier keeps those.
+    frontier = []
+    for item, (ks, _) in items:
+        w = weight[item]
+        if not frontier or w > frontier[-1][0]:
+            frontier.append((w, ks[-1], item))
+    frontier = tuple(frontier[::-1])
+    stored = shared.get(frontier)
+    if stored is None:
+        stored = shared[frontier] = tuple([shared.setdefault(entry, entry) for entry in frontier])
+    return PSequence(index, seq.n_events - 1, items[0][0], stored)
 
 
-def prune_index(pdb: PreprocessedDB, keep: set[ItemId], weights: WeightTable) -> None:
-    """Drop every item outside ``keep`` from each sequence's index, in place.
-
-    The kept items stay in order. Each sequence records its dropped items in
-    ``pruned`` and the database the largest dropped weight, so growth can
-    still bound the weight left in a projected suffix. Rebuilding each dict
-    in place, rather than building a second index, keeps peak memory flat.
-    """
+def prune_index(pdb: PreprocessedDB, keep: set[ItemId]) -> None:
+    """Drop every item outside ``keep`` from each sequence's index, in place
+    and in order; the frontiers keep every item. Rebuilding each dict in
+    place, rather than building a second index, keeps peak memory flat."""
     for seq in pdb.sequences:
-        kept = []
-        dropped = []
-        for item, occ in seq.index.items():
-            if item in keep:
-                kept.append((item, occ))
-            else:
-                dropped.append((weights.weight(item), occ[0][-1], item))
-        if not dropped:
-            continue
-        seq.index.clear()
-        seq.index.update(kept)
-        # Heaviest first and, among equal weights, the latest (last, item)
-        # first. An item is left in a suffix exactly when its (last, item)
-        # is after the anchor's (event, open_item), so one no heavier and no
-        # later than an item recorded before it is never the heaviest one
-        # left, and is not recorded.
-        dropped.sort(reverse=True)
-        pruned = [dropped[0]]
-        for entry in dropped:
-            if entry[1:] > pruned[-1][1:]:
-                pruned.append(entry)
-        seq.pruned = tuple(pruned)
-        if pruned[0][0] > pdb.pruned_max:
-            pdb.pruned_max = pruned[0][0]
+        kept = [(item, occ) for item, occ in seq.index.items() if item in keep]
+        if len(kept) < len(seq.index):
+            seq.index.clear()
+            seq.index.update(kept)
 
 
 def root_projection(pdb: PreprocessedDB) -> ProjectedDB:
     return ProjectedDB(tuple((i, -1) for i in range(len(pdb.sequences))), None)
 
 
-def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> dict[ExtKind, dict[ItemId, list]]:
+def determine(
+    pdb: PreprocessedDB, proj: ProjectedDB, alive: set[ItemId] | None = None
+) -> dict[ExtKind, dict[ItemId, list]]:
     """The extension slots of a projection: for "I" and for "S", in that
     order, each item -> ``[prob_sum, prob_max, entries]``.
 
     Each entry's index is read once, with one bisect per item, and only up
-    to the first item whose last occurrence lies before the anchor. An
-    S-slot takes the item's suffix max at its first event after the anchor.
-    An I-slot, only for items after ``open_item``, takes the suffix max at
-    the anchor event when the item is there, and the S value otherwise.
-    Every item of the index occurring in the remaining suffixes gets a slot.
-    ``prob_sum`` sums those values over the projection and ``prob_max`` is
-    their largest.
+    to the first item not left after the anchor, one whose (last position,
+    item) is not after the anchor's (event, ``open_item``). An S-slot takes
+    the item's suffix max at its first event after the anchor. An I-slot,
+    only for items after ``open_item``, takes the suffix max at the anchor
+    event when the item is there, and the S value otherwise. Every item of
+    the index left in the remaining suffixes gets a slot, or, given
+    ``alive``, every such item in ``alive``. ``prob_sum`` sums those values
+    over the projection and ``prob_max`` is their largest.
 
     ``entries`` are the entries a slot was read from, in projection order.
     Those are exactly the entries ``project`` can keep for that extension:
@@ -241,8 +232,10 @@ def determine(pdb: PreprocessedDB, proj: ProjectedDB) -> dict[ExtKind, dict[Item
         si, ei = entry
         for it, (ks, ps) in sequences[si].index.items():
             last = ks[-1]
-            if last < ei:
-                break  # so is every later item's
+            if last <= ei and (last < ei or it <= open_item):
+                break  # not left after the anchor, and neither is any later item
+            if alive is not None and it not in alive:
+                continue
             if last > ei:
                 j = bisect_right(ks, ei)
                 p = ps[j]
@@ -349,31 +342,45 @@ def _grow(
 
     A frame on the stack is one generated extension waiting to be grown: its
     slot's entries, its parent's ``open_item``, its item and kind, its trie
-    node, its maxpr and largest item weight, and its pattern (only with a
-    trace list). The root frame has item ``None``. Popping a frame projects
+    node, its maxpr and largest item weight, its pattern (only with a trace
+    list), the items it inherits (see the module docstring) and its parent's
+    ``wgt_cap``. The root frame has item ``None``. Popping a frame projects
     it, so projection happens only when a subtree is grown, and bounds every
-    slot ``determine`` finds, I-items then S-items, each in item order. Each
-    generated one is stored as a child of the frame's node and becomes a frame,
-    and the frames go on the stack in reverse, so the first is grown first.
-    The stack is explicit, so a long pattern cannot hit Python's recursion
-    limit. ``preprocess`` has looked up every item's weight, so the weight
-    table is read directly.
+    slot ``determine`` finds among the inherited items, I-items then
+    S-items, each in item order. Each generated one is stored as a child of
+    the frame's node and becomes a frame, and the frames go on the stack in
+    reverse, so the first is grown first. The stack is explicit, so a long
+    pattern cannot hit Python's recursion limit. ``preprocess`` has looked
+    up every item's weight, so the weight table is read directly.
     """
     weight = weights.entries
+    sequences = pdb.sequences
     cap_bound = bound == "cap"
     floor = min_wes - EPS  # what ``meets`` compares with
-    stack = [(root_projection(pdb).entries, None, None, None, trie.root, 1.0, 0.0, None)]
+    # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
+    stack = [(root_projection(pdb).entries, None, None, None, trie.root, 1.0, 0.0, None, None, 0.0)]
     while stack:
-        entries, open_item, item, kind, node, maxpr, mxw, prefix = stack.pop()
+        entries, open_item, item, kind, node, maxpr, mxw, prefix, alive, limit = stack.pop()
         proj = ProjectedDB(entries, open_item)
         if item is not None:
             proj = project(pdb, proj, item, kind)
         if not proj.entries:
             continue
-        slots = determine(pdb, proj)
+        slots = determine(pdb, proj, alive)
+        # The heaviest item left in the projected suffixes, with or without a
+        # slot: the slots' items give a floor, each entry's frontier the rest,
+        # and no node's exceeds its parent's (``limit``).
         wgt_cap = max([mxw] + [weight[item] for acc in slots.values() for item in acc])
-        if wgt_cap < pdb.pruned_max:
-            wgt_cap = _pruned_weight(pdb, proj, wgt_cap)
+        if wgt_cap < limit:
+            for si, ei in proj.entries:
+                for w, last, it in sequences[si].frontier:
+                    if w <= wgt_cap:
+                        break
+                    if last > ei or (last == ei and it > proj.open_item):
+                        wgt_cap = w
+                        break
+                if wgt_cap == limit:
+                    break
         frames = []
         for kind, acc in slots.items():
             stats.bounded += len(acc)
@@ -392,30 +399,16 @@ def _grow(
                     frames.append((entries, proj.open_item, item, kind, child,
                                    maxpr * prob_max, mxw if mxw > w else w, pat))
         stats.candidates += len(frames)
+        # What the children inherit: the S-items generated here, and for an
+        # I-child also the I-items.
+        alive_s = {frame[2] for frame in frames if frame[3] == "S"}
+        alive_i = alive_s | {frame[2] for frame in frames if frame[3] == "I"}
         if node is trie.root:
-            # The root level is bounded on the full index. No item it did not
-            # generate can be generated below it (see the module docstring).
-            prune_index(pdb, {frame[2] for frame in frames}, weights)
-        stack.extend(reversed(frames))
-
-
-def _pruned_weight(pdb: PreprocessedDB, proj: ProjectedDB, floor: float) -> float:
-    """The largest weight above ``floor`` of a pruned item left in the projected
-    suffixes, or ``floor`` when there is none.
-
-    A pruned item is left when its last occurrence is after the anchor event,
-    or in it and after ``open_item``.
-    """
-    open_item = proj.open_item
-    sequences = pdb.sequences
-    for si, ei in proj.entries:
-        for w, last, item in sequences[si].pruned:
-            if w <= floor:
-                break
-            if last > ei or (last == ei and item > open_item):
-                floor = w
-                break
-    return floor
+            # The root level is bounded on the full index. Its children read
+            # an index that holds only the items they inherit.
+            prune_index(pdb, alive_s)
+            alive_s = alive_i = None
+        stack.extend(f + (alive_i if f[3] == "I" else alive_s, wgt_cap) for f in reversed(frames))
 
 
 def fuws(

@@ -35,9 +35,13 @@ def oracle_max_pr_s(pattern: Pattern, seq: USequence) -> float:
 
     An embedding assigns each pattern itemset to one event, itemsets to
     strictly later events in order, with every item of the itemset present in
-    its event. Returns 0.0 when no embedding exists.
+    its event. Returns 0.0 when no embedding exists. ``oracle_mine`` builds
+    each sequence's ``event_maps()`` once and calls ``_max_pr_enum`` on them.
     """
-    event_maps = seq.event_maps()
+    return _max_pr_enum(pattern, seq.event_maps())
+
+
+def _max_pr_enum(pattern: Pattern, event_maps: list[dict[ItemId, float]]) -> float:
     n = len(event_maps)
     counter = 0
 
@@ -132,10 +136,11 @@ def oracle_mine(db: UncertainDatabase, weights: WeightTable, min_wes: float) -> 
     _check_guard(db)
     alphabet = db.alphabet()
     max_w = weights.max_weight() if weights.entries else 0.0
+    db_maps = [seq.event_maps() for seq in db.sequences]  # built once, not per visit
     out: list[ScoredPattern] = []
 
     def visit(pattern: Pattern) -> None:
-        es = oracle_exp_sup(pattern, db)
+        es = sum(_max_pr_enum(pattern, maps) for maps in db_maps)
         if es <= 0.0 or not meets(es * max_w, min_wes):
             return
         wes = es * s_weight(pattern, weights)

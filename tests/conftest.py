@@ -69,12 +69,12 @@ class Slot(NamedTuple):
         return len(self.entries)
 
 
-def slots(pdb, proj):
+def slots(pdb, proj, alive=None):
     """``determine``'s slots flattened into one list in (kind, item) order,
     which is the order growth bounds them in."""
     return [
         Slot(kind, item, *acc[item])
-        for kind, acc in determine(pdb, proj).items()
+        for kind, acc in determine(pdb, proj, alive).items()
         for item in sorted(acc)
     ]
 

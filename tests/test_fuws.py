@@ -25,6 +25,7 @@ from useqmine import (
     root_projection,
     s_weight,
     single,
+    sup_calc,
 )
 from useqmine.model import item_index
 
@@ -243,7 +244,8 @@ def _grows_from(desc, anc):
 
 def unpruned_trace(db, wt, min_sup, bound):
     """Reference growth: every level bounds every item of the full index, and
-    wgt_cap is the largest weight over all of the level's candidates."""
+    wgt_cap is the largest weight over all of the level's candidates.
+    Returns the records and the threshold."""
     pdb, acc = preprocess(db, wt)
     min_wes = Thresholds.compute(min_sup, db.size, acc.wam, 1.0, 1.0).min_wes
     records = []
@@ -262,7 +264,7 @@ def unpruned_trace(db, wt, min_sup, bound):
                 grow(child, pat, maxpr * cand.prob_max, max(mxw, wt.weight(cand.item)))
 
     grow(root_projection(pdb), None, 1.0, 0.0)
-    return records
+    return records, min_wes
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,6 +289,35 @@ def test_trace_leaves_the_mine_unchanged(db, weights, min_sup, bound):
     assert traced.bounded == plain.bounded == len(trace)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases() | databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    bound=st.sampled_from(["cap", "top"]),
+)
+def test_mine_matches_unpruned_reference_growth(db, weights, min_sup, bound):
+    # Bounding only the items a node inherits, with wgt_cap read off the
+    # frontiers, changes no candidate, threshold, verified wes or bound.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    trace = []
+    trie, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
+    records, min_wes = unpruned_trace(db, wt, min_sup, bound)
+    generated = [r.pattern for r in records if r.generated]
+    ref = USeqTrie()
+    for pat in generated:
+        ref.insert(pat)
+    sup_calc(ref, db, wt)
+    false_positives = ref.prune_below(min_wes)
+    assert trie.snapshot() == ref.snapshot()
+    assert (stats.candidates, stats.false_positives, stats.min_wes) == (
+        len(generated), false_positives, min_wes
+    )
+    assert {r.pattern for r in trace if r.generated} == set(generated)
+    by_pattern = {r.pattern: r for r in records}
+    assert all(by_pattern[r.pattern] == r for r in trace)  # wgt_cap included
+
+
 @pytest.mark.parametrize("bound", ["cap", "top"])
 def test_root_pruning_keeps_every_generated_bound(bound):
     rng = random.Random(4040)
@@ -297,7 +328,7 @@ def test_root_pruning_keeps_every_generated_bound(bound):
         min_sup = rng.choice([0.1, 0.2, 0.3, 0.4])
         trace = []
         mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
-        want = {r.pattern: r for r in unpruned_trace(db, wt, min_sup, bound)}
+        want = {r.pattern: r for r in unpruned_trace(db, wt, min_sup, bound)[0]}
         got = {r.pattern: r for r in trace}
         assert len(got) == len(trace)
         # Every record left is bit-identical, and so is every generated one.
@@ -308,12 +339,26 @@ def test_root_pruning_keeps_every_generated_bound(bound):
         assert {p: r for p, r in want.items() if p.length == 1} == {
             p: r for p, r in got.items() if p.length == 1
         }
-        pruned = {p.events[0][0] for p, r in want.items() if p.length == 1 and not r.generated}
+        # A record is missing only where a node's parent did not generate its
+        # item: the reference holds a record, not generated, of the same item
+        # extending a proper prefix of the node.
+        by_steps = {_steps(p): r for p, r in want.items()}
         for pat in want.keys() - got.keys():
             assert not want[pat].generated
-            assert any(it in pruned for ev in pat.events for it in ev)
+            *node, (_, item) = _steps(pat)
+            assert any(
+                not rec.generated
+                for k in range(len(node))
+                for kind in "SI"
+                if (rec := by_steps.get((*node[:k], (kind, item)))) is not None
+            )
             dropped += 1
     assert dropped > 0
+
+
+def _steps(pat):
+    """A pattern as its chain of (kind, item) extensions from the root."""
+    return tuple(("I" if k else "S", it) for ev in pat.events for k, it in enumerate(ev))
 
 
 class TestFuws:

@@ -137,23 +137,54 @@ def test_determine_matches_event_walk_along_growth_chains(data, db):
         proj = project(pdb, proj, pick.item, pick.kind)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    db=databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+)
+def test_frontier_gives_the_heaviest_item_left_after_any_anchor(db, weights):
+    # An anchor (event, open_item) leaves the open event's items after
+    # open_item and every later event; the root anchor leaves everything.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    pdb, _ = preprocess(db, wt)
+    for seq, pseq in zip(db.sequences, pdb.sequences):
+        events = [[pi.item for pi in ev.items] for ev in seq.events]
+        assert pseq.frontier[0][0] == max(wt.weight(it) for ev in events for it in ev)
+        for ei, ev in enumerate(events):
+            for open_item in ev:
+                left = [it for it in ev if it > open_item] + [it for e in events[ei + 1 :] for it in e]
+                want = max((wt.weight(it) for it in left), default=None)
+                got = next(
+                    (w for w, last, it in pseq.frontier
+                     if last > ei or (last == ei and it > open_item)),
+                    None,
+                )
+                assert got == want
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), db=databases(last_min_size=2), keep=st.sets(st.sampled_from(DB_ITEMS)))
-def test_determine_on_pruned_index_matches_event_walk(data, db, keep):
+@given(
+    data=st.data(),
+    db=databases(last_min_size=2),
+    keep=st.sets(st.sampled_from(DB_ITEMS)),
+    alive=st.none() | st.sets(st.sampled_from(DB_ITEMS)),
+)
+def test_determine_on_pruned_index_matches_event_walk(data, db, keep, alive):
     # Final events of two or more items put I-candidates whose last
-    # occurrence is the anchor event itself, where ``determine`` must not stop.
+    # occurrence is the anchor event itself, where ``determine`` must not
+    # stop; with ``alive`` it slots only those items.
     pdb, _ = preprocess(db, WEIGHTS)
-    prune_index(pdb, keep, WEIGHTS)
+    prune_index(pdb, keep)
     for seq in pdb.sequences:
-        lasts = [ks[-1] for ks, _ in seq.index.values()]
-        assert lasts == sorted(lasts, reverse=True)
+        order = [(ks[-1], it) for it, (ks, _) in seq.index.items()]
+        assert order == sorted(order, reverse=True)
         assert set(seq.index) <= keep
     proj = root_projection(pdb)
     for _ in range(5):
-        cands = slots(pdb, proj)
+        cands = slots(pdb, proj, alive)
         want, _ = determine_walk(db, proj)
         got = [(c.kind, c.item, c.prob_sum, c.prob_max, c.seq_count) for c in cands]
-        assert got == [w for w in want if w[1] in keep]
+        assert got == [w for w in want if w[1] in keep and (alive is None or w[1] in alive)]
         if not cands:
             break
         pick = data.draw(st.sampled_from(cands))
@@ -172,7 +203,7 @@ def test_candidates_project_over_their_own_entries(data, db, keep):
     # as projecting the candidate's whole parent projection.
     pdb, _ = preprocess(db, WEIGHTS)
     if keep is not None:
-        prune_index(pdb, keep, WEIGHTS)
+        prune_index(pdb, keep)
     proj = root_projection(pdb)
     for _ in range(5):
         cands = slots(pdb, proj)
@@ -209,7 +240,7 @@ def test_growth_hands_project_only_the_generated_candidates_entries(monkeypatch)
     # Each generated candidate's seq_count, read off the whole projection of
     # its prefix on the index growth reads below the root.
     pdb, _ = preprocess(db, weights)
-    prune_index(pdb, {r.pattern.last_item for r in generated if r.pattern.length == 1}, weights)
+    prune_index(pdb, {r.pattern.last_item for r in generated if r.pattern.length == 1})
     want = whole = 0
     for r in generated:
         *prefix, step = [
