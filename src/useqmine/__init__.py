@@ -30,7 +30,6 @@ from .fuws import (
     determine,
     fuws,
     mine_trie,
-    pattern_max_pr,
     preprocess,
     project,
     root_projection,

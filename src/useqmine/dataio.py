@@ -309,10 +309,11 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
             sequences.append(USequence.of(events))
         except MiningError as exc:
             raise ParseError(path, lineno, str(exc)) from None
+    # Every token in ``seen`` is checked and every weight clamped into [0.01, 1.0].
     entries = {
         item: _clamp01(rng.gauss(cfg.weight_mean, cfg.weight_std)) for item in seen
     }
-    return UncertainDatabase(tuple(sequences)), WeightTable(entries)
+    return UncertainDatabase(tuple(sequences)), WeightTable.checked(entries)
 
 
 # -- splitting ----------------------------------------------------------------

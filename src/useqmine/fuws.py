@@ -71,10 +71,9 @@ from .model import (
     WeightTable,
     check_positive,
     extend,
-    item_index,
     single,
 )
-from .trie import USeqTrie, _edges, sup_calc
+from .trie import USeqTrie, sup_calc
 
 Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
 
@@ -94,11 +93,8 @@ class PSequence:
     frontier: tuple[tuple[float, int, ItemId], ...]
 
 
-@dataclass
-class PreprocessedDB:
-    """Input database as per-sequence item indexes of suffix-max probabilities."""
-
-    sequences: tuple[PSequence, ...]
+# The input database as per-sequence item indexes of suffix-max probabilities.
+PreprocessedDB = tuple[PSequence, ...]
 
 
 # A projection entry (seq, event) anchors sequence ``seq`` at event ``event``,
@@ -123,10 +119,14 @@ class BoundRecord:
     The root level records every item. Below it, a node records only the
     extensions by items its parent generated: the parent's generated
     S-items, plus its generated I-items when the node is an I-extension.
+    ``maxpr`` is the extension's maxpr: its prefix's maxpr (1.0 at the root)
+    times the item's peak remaining probability over the projection, the
+    factor its children's bounds start from.
     """
 
     pattern: Pattern
     kind: ExtKind
+    maxpr: float
     exp_sup_cap: float
     exp_sup_top: float
     wgt_cap: float
@@ -162,11 +162,11 @@ def preprocess(
     acc = WamAccumulator()
     acc.add(db, weights)
     shared: dict = {}  # equal frontiers and their entries, stored once
-    return PreprocessedDB(tuple(_index_sequence(s, weights.entries, shared) for s in db.sequences)), acc
+    return tuple(_index_sequence(s, weights.entries, shared) for s in db.sequences), acc
 
 
 def _index_sequence(seq: USequence, weight: dict[ItemId, float], shared: dict) -> PSequence:
-    items = sorted(item_index(seq).items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
+    items = sorted(seq.index.items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
     index = {  # an item occurring once keeps its stored pair
         item: occ if len(occ[0]) == 1 else (occ[0], tuple(accumulate(reversed(occ[1]), max))[::-1])
         for item, occ in items
@@ -190,7 +190,7 @@ def prune_index(pdb: PreprocessedDB, keep: set[ItemId]) -> None:
     """Drop every item outside ``keep`` from each sequence's index, in place
     and in order; the frontiers keep every item. Rebuilding each dict in
     place, rather than building a second index, keeps peak memory flat."""
-    for seq in pdb.sequences:
+    for seq in pdb:
         kept = [(item, occ) for item, occ in seq.index.items() if item in keep]
         if len(kept) < len(seq.index):
             seq.index.clear()
@@ -198,7 +198,7 @@ def prune_index(pdb: PreprocessedDB, keep: set[ItemId]) -> None:
 
 
 def root_projection(pdb: PreprocessedDB) -> ProjectedDB:
-    return ProjectedDB(tuple((i, -1) for i in range(len(pdb.sequences))), None)
+    return ProjectedDB(tuple((i, -1) for i in range(len(pdb))), None)
 
 
 def determine(
@@ -227,10 +227,9 @@ def determine(
     s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     open_item = proj.open_item
-    sequences = pdb.sequences
     for entry in proj.entries:
         si, ei = entry
-        for it, (ks, ps) in sequences[si].index.items():
+        for it, (ks, ps) in pdb[si].index.items():
             last = ks[-1]
             if last <= ei and (last < ei or it <= open_item):
                 break  # not left after the anchor, and neither is any later item
@@ -272,10 +271,9 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     dict miss.
     """
     out: list[Entry] = []
-    sequences = pdb.sequences
     open_item = proj.open_item
     for si, ei in proj.entries:
-        seq = sequences[si]
+        seq = pdb[si]
         occ = seq.index.get(item)
         if occ is None:
             continue
@@ -341,29 +339,30 @@ def _grow(
     """Grow every candidate into ``trie``, depth-first from the root.
 
     A frame on the stack is one generated extension waiting to be grown: its
-    slot's entries, its parent's ``open_item``, its item and kind, its trie
-    node, its maxpr and largest item weight, its pattern (only with a trace
-    list), the items it inherits (see the module docstring) and its parent's
-    ``wgt_cap``. The root frame has item ``None``. Popping a frame projects
-    it, so projection happens only when a subtree is grown, and bounds every
-    slot ``determine`` finds among the inherited items, I-items then
-    S-items, each in item order. Each generated one is stored as a child of
-    the frame's node and becomes a frame, and the frames go on the stack in
-    reverse, so the first is grown first. The stack is explicit, so a long
-    pattern cannot hit Python's recursion limit. ``preprocess`` has looked
-    up every item's weight, so the weight table is read directly.
+    slot's entries, its parent's ``open_item``, its trie node (which holds
+    its item and kind), its maxpr and largest item weight, its pattern (only
+    with a trace list), the items it inherits (see the module docstring) and
+    its parent's ``wgt_cap``. The root frame's node is the trie's root.
+    Popping any other frame projects it, so projection happens only when a
+    subtree is grown. Every frame then bounds each slot ``determine`` finds
+    among the inherited items, I-items then S-items, each in item order.
+    Each generated one is stored as a child of the frame's node and becomes
+    a frame, and the frames go on the stack in reverse, so the first is
+    grown first. The stack is explicit, so a long pattern cannot hit
+    Python's recursion limit. ``preprocess`` has looked up every item's
+    weight, so the weight table is read directly.
     """
     weight = weights.entries
-    sequences = pdb.sequences
+    root = trie.root
     cap_bound = bound == "cap"
     floor = min_wes - EPS  # what ``meets`` compares with
     # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
-    stack = [(root_projection(pdb).entries, None, None, None, trie.root, 1.0, 0.0, None, None, 0.0)]
+    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, None, None, 0.0)]
     while stack:
-        entries, open_item, item, kind, node, maxpr, mxw, prefix, alive, limit = stack.pop()
+        entries, open_item, node, maxpr, mxw, prefix, alive, limit = stack.pop()
         proj = ProjectedDB(entries, open_item)
-        if item is not None:
-            proj = project(pdb, proj, item, kind)
+        if node is not root:
+            proj = project(pdb, proj, node.item, node.kind)
         if not proj.entries:
             continue
         slots = determine(pdb, proj, alive)
@@ -373,7 +372,7 @@ def _grow(
         wgt_cap = max([mxw] + [weight[item] for acc in slots.values() for item in acc])
         if wgt_cap < limit:
             for si, ei in proj.entries:
-                for w, last, it in sequences[si].frontier:
+                for w, last, it in pdb[si].frontier:
                     if w <= wgt_cap:
                         break
                     if last > ei or (last == ei and it > proj.open_item):
@@ -392,23 +391,24 @@ def _grow(
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
                     top = maxpr * prob_max * len(entries)
-                    trace.append(BoundRecord(pat, kind, maxpr * prob_sum, top, wgt_cap, generated))
+                    trace.append(BoundRecord(pat, kind, maxpr * prob_max, maxpr * prob_sum, top,
+                                             wgt_cap, generated))
                 if generated:
                     w = weight[item]
                     child = trie.add_child(node, kind, item)
-                    frames.append((entries, proj.open_item, item, kind, child,
-                                   maxpr * prob_max, mxw if mxw > w else w, pat))
+                    frames.append((entries, proj.open_item, child, maxpr * prob_max,
+                                   mxw if mxw > w else w, pat))
         stats.candidates += len(frames)
         # What the children inherit: the S-items generated here, and for an
         # I-child also the I-items.
-        alive_s = {frame[2] for frame in frames if frame[3] == "S"}
-        alive_i = alive_s | {frame[2] for frame in frames if frame[3] == "I"}
-        if node is trie.root:
+        alive_s = {f[2].item for f in frames if f[2].kind == "S"}
+        alive_i = alive_s | {f[2].item for f in frames if f[2].kind == "I"}
+        if node is root:
             # The root level is bounded on the full index. Its children read
             # an index that holds only the items they inherit.
             prune_index(pdb, alive_s)
             alive_s = alive_i = None
-        stack.extend(f + (alive_i if f[3] == "I" else alive_s, wgt_cap) for f in reversed(frames))
+        stack.extend(f + (alive_i if f[2].kind == "I" else alive_s, wgt_cap) for f in reversed(frames))
 
 
 def fuws(
@@ -418,20 +418,3 @@ def fuws(
     trie, stats = mine_trie(db, weights, min_sup, wgt_fct)
     return trie.collect(stats.min_wes)
 
-
-def pattern_max_pr(pdb: PreprocessedDB, pattern: Pattern) -> float:
-    """The growth walk's optimistic probability for a pattern (its maxpr).
-
-    Folds the pattern's extension chain over the projection machinery; each
-    step multiplies by the extension item's best probability across the
-    projected suffixes. Returns 0.0 when the chain dies out.
-    """
-    proj = root_projection(pdb)
-    maxpr = 1.0
-    for kind, item in _edges(pattern):
-        slot = determine(pdb, proj)[kind].get(item)
-        if slot is None:
-            return 0.0
-        maxpr *= slot[1]
-        proj = project(pdb, ProjectedDB(slot[2], proj.open_item), item, kind)
-    return maxpr

@@ -157,11 +157,6 @@ class USequence:
         return sum(len(ks) for ks, _ in self.index.values())
 
 
-def item_index(seq: USequence) -> dict[ItemId, Occurrences]:
-    """The sequence's stored index (see ``USequence``)."""
-    return seq.index
-
-
 @dataclass(frozen=True)
 class UncertainDatabase:
     sequences: tuple[USequence, ...]
@@ -214,14 +209,6 @@ class WeightTable:
             return self.entries[item]
         except KeyError:
             raise MissingWeightError(item) from None
-
-    def max_weight(self) -> float:
-        if not self.entries:
-            raise MiningError("empty weight table")
-        return max(self.entries.values())
-
-    def __contains__(self, item: ItemId) -> bool:
-        return item in self.entries
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def oracle_mine(db: UncertainDatabase, weights: WeightTable, min_wes: float) -> 
     """
     _check_guard(db)
     alphabet = db.alphabet()
-    max_w = weights.max_weight() if weights.entries else 0.0
+    max_w = max(weights.entries.values(), default=0.0)
     db_maps = [seq.event_maps() for seq in db.sequences]  # built once, not per visit
     out: list[ScoredPattern] = []
 

@@ -34,7 +34,6 @@ from .model import (
     check_item_token,
     check_nonnegative,
     extend,
-    item_index,
     meets,
     single,
 )
@@ -253,7 +252,7 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     and children are visited unsorted.
     """
     for seq in db_part.sequences:
-        index = item_index(seq)
+        index = seq.index
         end = (seq.n_events, 0.0)  # past every position
         stack = [(trie.root, ((-1, 1.0),), 0.0, 0)]
         while stack:

@@ -15,11 +15,11 @@ from useqmine import (
     WeightTable,
     extend,
     fuws,
+    max_pr_dynamic,
     meets,
     mine_trie,
     oracle_exp_sup,
     oracle_mine,
-    pattern_max_pr,
     preprocess,
     project,
     root_projection,
@@ -27,7 +27,6 @@ from useqmine import (
     single,
     sup_calc,
 )
-from useqmine.model import item_index
 
 from conftest import (
     DB_ITEMS,
@@ -53,21 +52,21 @@ class TestPreprocess:
     def test_suffix_max_rewrite(self, tmp_path, sample_weights):
         db = db_from_text(tmp_path, "a:0.3 -1 a:0.9 -1 -2\n")
         pdb, _ = preprocess(db, sample_weights)
-        assert pdb.sequences[0].index == {"a": ((0, 1), (0.9, 0.9))}
+        assert pdb[0].index == {"a": ((0, 1), (0.9, 0.9))}
 
     def test_nonincreasing_per_item(self, tmp_path, sample_weights):
         rng = random.Random(5)
         db = random_db(rng)
         wt = random_weights(rng)
         pdb, _ = preprocess(db, wt)
-        for seq in pdb.sequences:
+        for seq in pdb:
             for _, ps in seq.index.values():
                 assert all(a >= b for a, b in zip(ps, ps[1:]))
 
     def test_identity_when_items_unique(self, tmp_path, sample_weights):
         db = db_from_text(tmp_path, "a:0.3 -1 b:0.9 -1 c:0.2 -1 -2\n")
         pdb, _ = preprocess(db, sample_weights)
-        assert pdb.sequences[0].index == {
+        assert pdb[0].index == {
             "a": ((0,), (0.3,)),
             "b": ((1,), (0.9,)),
             "c": ((2,), (0.2,)),
@@ -75,9 +74,9 @@ class TestPreprocess:
 
     def test_shape_preserved(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
-        for seq, pseq in zip(sample_db.sequences, pdb.sequences):
+        for seq, pseq in zip(sample_db.sequences, pdb):
             # The stored index's position tuples are shared, not copied.
-            positions = {it: ks for it, (ks, _) in item_index(seq).items()}
+            positions = {it: ks for it, (ks, _) in seq.index.items()}
             assert pseq.index.keys() == positions.keys()
             assert all(pseq.index[it][0] is ks for it, ks in positions.items())
             assert pseq.last_event == len(seq.events) - 1
@@ -154,11 +153,13 @@ class TestBounds:
         assert wcaps[(P("(a c)"), "I")] == pytest.approx(1.0)
 
     def test_maxpr_values(self, sample_db, sample_weights):
-        pdb, _ = preprocess(sample_db, sample_weights)
-        assert pattern_max_pr(pdb, P("(c)(a)")) == pytest.approx(0.42)
-        assert pattern_max_pr(pdb, P("(a c)")) == pytest.approx(0.54)
-        assert pattern_max_pr(pdb, P("(a)(c)")) == pytest.approx(0.54)
-        assert pattern_max_pr(pdb, P("(q)")) == 0.0
+        trace = []
+        mine_trie(sample_db, sample_weights, 0.2 * 0.7, 1.0, trace=trace)
+        maxprs = {r.pattern: r.maxpr for r in trace}
+        assert maxprs[P("(c)(a)")] == pytest.approx(0.42)
+        assert maxprs[P("(a c)")] == pytest.approx(0.54)
+        assert maxprs[P("(a)(c)")] == pytest.approx(0.54)
+        assert P("(q)") not in maxprs  # no record for an item the database lacks
 
     def test_below_threshold_branch_has_no_children(self, sample_db, sample_weights):
         trace = []
@@ -258,7 +259,8 @@ def unpruned_trace(db, wt, min_sup, bound):
             top = maxpr * cand.prob_max * cand.seq_count
             generated = meets((cap if bound == "cap" else top) * wgt_cap, min_wes)
             pat = extend(prefix, cand.item, cand.kind) if prefix else single(cand.item)
-            records.append(BoundRecord(pat, cand.kind, cap, top, wgt_cap, generated))
+            records.append(BoundRecord(pat, cand.kind, maxpr * cand.prob_max, cap, top, wgt_cap,
+                                       generated))
             child = project(pdb, proj, cand.item, cand.kind) if generated else None
             if child and child.entries:
                 grow(child, pat, maxpr * cand.prob_max, max(mxw, wt.weight(cand.item)))
@@ -289,6 +291,24 @@ def test_trace_leaves_the_mine_unchanged(db, weights, min_sup, bound):
     assert traced.bounded == plain.bounded == len(trace)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    db=databases() | databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+)
+def test_traced_maxpr_bounds_every_sequences_best_embedding(db, weights, min_sup):
+    # maxpr multiplies each step's peak remaining probability, so no
+    # embedding of the pattern in any sequence has a larger product.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    trace = []
+    mine_trie(db, wt, min_sup, 1.0, trace=trace)
+    assert trace
+    for rec in trace:
+        for seq in db.sequences:
+            assert rec.maxpr >= max_pr_dynamic(rec.pattern, seq) - 1e-12
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     db=databases() | databases(last_min_size=2),
@@ -315,7 +335,7 @@ def test_mine_matches_unpruned_reference_growth(db, weights, min_sup, bound):
     )
     assert {r.pattern for r in trace if r.generated} == set(generated)
     by_pattern = {r.pattern: r for r in records}
-    assert all(by_pattern[r.pattern] == r for r in trace)  # wgt_cap included
+    assert all(by_pattern[r.pattern] == r for r in trace)  # wgt_cap and maxpr included
 
 
 @pytest.mark.parametrize("bound", ["cap", "top"])

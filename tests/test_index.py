@@ -147,7 +147,7 @@ def test_frontier_gives_the_heaviest_item_left_after_any_anchor(db, weights):
     # open_item and every later event; the root anchor leaves everything.
     wt = WeightTable(dict(zip(DB_ITEMS, weights)))
     pdb, _ = preprocess(db, wt)
-    for seq, pseq in zip(db.sequences, pdb.sequences):
+    for seq, pseq in zip(db.sequences, pdb):
         events = [[pi.item for pi in ev.items] for ev in seq.events]
         assert pseq.frontier[0][0] == max(wt.weight(it) for ev in events for it in ev)
         for ei, ev in enumerate(events):
@@ -175,7 +175,7 @@ def test_determine_on_pruned_index_matches_event_walk(data, db, keep, alive):
     # stop; with ``alive`` it slots only those items.
     pdb, _ = preprocess(db, WEIGHTS)
     prune_index(pdb, keep)
-    for seq in pdb.sequences:
+    for seq in pdb:
         order = [(ks[-1], it) for it, (ks, _) in seq.index.items()]
         assert order == sorted(order, reverse=True)
         assert set(seq.index) <= keep

@@ -24,7 +24,7 @@ from useqmine import (
     single,
     write_uncertain_db,
 )
-from useqmine.model import check_item_token, item_index
+from useqmine.model import check_item_token
 
 from conftest import P, databases
 
@@ -265,7 +265,7 @@ def test_stored_index_encodes_the_events_view(tmp_path_factory, db):
         assert USequence(events) == seq
         want = naive_index(events)
         # Key order too: the WAM sums add items in order of first occurrence.
-        assert list(item_index(seq).items()) == list(want.items())
+        assert list(seq.index.items()) == list(want.items())
         assert seq.n_events == len(events)
         assert seq.length == sum(len(ev.items) for ev in events)
     occurrences = [pi.item for seq in db.sequences for ev in seq.events for pi in ev.items]
