@@ -170,8 +170,9 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     """Read a checkpoint written by ``save_state`` with the same weight table.
 
     Raises ``MiningError`` for another format version, for a state mined
-    with other weights, for a pattern held in both tries, and for a malformed
-    file; a byte that is not UTF-8 raises ``ParseError`` naming its line.
+    with other weights, for a pattern held in both tries, for a trie item
+    without a weight, and for a malformed file; a byte that is not UTF-8
+    raises ``ParseError`` naming its line.
     """
     lines = [line.rstrip("\n") for _, line in dataio._lines(path)]
     if not lines:
@@ -212,6 +213,9 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     for pat, _ in pfs_trie.patterns():
         if pat in seq_trie:
             raise MiningError(f"checkpoint holds {dataio.format_pattern(pat)} in both tries")
+    held = {it for trie in (seq_trie, pfs_trie) for pat, _ in trie.patterns() for ev in pat.events for it in ev}
+    if missing := min(held - weights.entries.keys(), default=None):
+        raise MiningError(f"checkpoint {path} holds item {missing!r}, which has no weight")
     return IncrementalState(
         seq_trie=seq_trie,
         pfs_trie=pfs_trie,

@@ -80,22 +80,19 @@ def max_pr_dynamic(pattern: Pattern, seq: USequence) -> float:
     """Prefix-best-product table for the same quantity as oracle_max_pr_s.
 
     Independent of both the enumeration above and the trie scan; the three
-    must agree.
+    must agree. It reads only the pattern's items from ``seq.index``.
     """
-    event_maps = seq.event_maps()
-    n = len(event_maps)
+    n = seq.n_events
     prev = [1.0] * (n + 1)  # prev[k]: best for first j itemsets ending before event k
     for itemset in pattern.events:
+        prods = dict.fromkeys(range(n), 1.0)  # event -> product of the itemset so far
+        for item in itemset:
+            ks, ps = seq.index.get(item, ((), ()))
+            prods = {k: prods[k] * p for k, p in zip(ks, ps) if k in prods}
         cur = [0.0] * (n + 1)
         best_so_far = 0.0
         for k in range(n):
-            prod = 1.0
-            for item in itemset:
-                p = event_maps[k].get(item)
-                if p is None:
-                    prod = 0.0
-                    break
-                prod *= p
+            prod = prods.get(k, 0.0)
             here = prod * prev[k] if prod > 0.0 else 0.0
             if here > best_so_far:
                 best_so_far = here

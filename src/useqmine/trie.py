@@ -3,9 +3,10 @@
 A stored pattern's node is one whose wes (weighted expected support
 accumulator) is set; on every other node wes is ``None``. One pass of
 ``sup_calc`` over a database (or an increment) adds every sequence's
-contribution to every stored pattern in a single scan; per sequence, a node's
-state is one sparse row of ``(event position, best embedding probability)``
-pairs, one per event where its pattern can end.
+contribution to every stored pattern in a single scan, through a plan of the
+trie compiled once per call with each node's mean item weight; per sequence,
+a node's state is one sparse row of ``(event position, best embedding
+probability)`` pairs, one per event where its pattern can end.
 
 A node that is only a prefix of stored patterns keeps a ``None`` wes and at
 least one child: pruning can leave sets that are not prefix-closed (a
@@ -236,54 +237,83 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     Per sequence, each node carries a row: ascending ``(event position,
     value)`` pairs, one per event where the node's pattern embeds with its
     last item in that event, the value being the best such embedding's
-    probability. The root's row is ``((-1, 1.0),)``: the empty prefix embeds
-    before any event. An S-edge child scores each occurrence of its item by
-    the parent's best value at strictly earlier positions, a running maximum
+    probability. An S-edge child scores each occurrence of its item by the
+    parent's best value at strictly earlier positions, a running maximum
     carried by one pointer along the row; an I-edge child by the parent's
-    value at the same position. The node's contribution for the sequence is
-    its best value times the running mean item weight carried down the walk.
+    value at the same position. A node adds its best value times its
+    pattern's mean item weight.
 
-    The sequence is read through its stored index: a child whose item the
-    sequence lacks is skipped with one dict miss, together with its whole
-    subtree, and a matched child touches only the positions where its item
-    occurs. The walk keeps its frames on an explicit stack, so a long pattern
+    The call first compiles the trie into a plan, one ``(item, is S-edge,
+    child, mean item weight, child's plan)`` entry per child, so an item
+    without a weight raises ``MissingWeightError`` before any wes changes.
+    Root edges are S-edges from the empty prefix, so a sequence enters the
+    root by its own items and a root child's row is its item's occurrences.
+    Below the root, a child is skipped with its subtree when the sequence
+    lacks its item or the item's last occurrence cannot follow the row's
+    first position. Plans and rows wait on explicit stacks, so a long pattern
     cannot hit Python's recursion limit. Each node gets one addition per
-    sequence, in sequence order, so visit order cannot change any node's sum,
-    and children are visited unsorted.
+    sequence, in sequence order, so visit order cannot change any sum.
     """
+    root: list = []
+    stack = [(trie.root, 0.0, 0, root)]
+    while stack:
+        node, wgt_sum, itm_cnt, plan = stack.pop()
+        for (kind, item), child in node.children.items():
+            cw = wgt_sum + weights.weight(item)
+            sub: list = []  # filled when the child is popped; stays empty at a leaf
+            plan.append((item, kind == "S", child, cw / (itm_cnt + 1), sub))
+            if child.children:
+                stack.append((child, cw, itm_cnt + 1, sub))
+    entry = {item: rest for item, s_step, *rest in root if s_step}
     for seq in db_part.sequences:
         index = seq.index
         end = (seq.n_events, 0.0)  # past every position
-        stack = [(trie.root, ((-1, 1.0),), 0.0, 0)]
-        while stack:
-            node, row, wgt_sum, itm_cnt = stack.pop()
-            for (kind, item), child in node.children.items():
+        rows = []
+        for item, (ks, ps) in index.items():
+            hit = entry.get(item)
+            if hit is not None:
+                child, mean, sub = hit
+                if child.wes is not None:
+                    child.wes += max(ps) * mean
+                if sub:
+                    rows.append((sub, list(zip(ks, ps))))
+        while rows:
+            plan, row = rows.pop()
+            first, v0 = row[0]
+            one = len(row) == 1
+            for item, s_step, child, mean, sub in plan:
                 occ = index.get(item)
                 if occ is None:
                     continue
-                s_step = kind == "S"
-                child_row = []
-                best = run = 0.0
-                rest = iter(row)
-                pos, val = next(rest)
                 ks, ps = occ
-                j = 0
-                for k in ks:
-                    while pos < k:
-                        if val > run:
-                            run = val
-                        pos, val = next(rest, end)
-                    b = run if s_step else val if pos == k else 0.0
-                    if b > 0.0:
-                        v = ps[j] * b
-                        if v > best:
-                            best = v
-                        child_row.append((k, v))
-                    j += 1
+                if ks[-1] < first + s_step:  # an S-step needs a later event
+                    continue
+                if one and len(ks) == 1:
+                    k = ks[0]
+                    if not s_step and k != first:
+                        continue
+                    best = ps[0] * v0
+                    child_row = [(k, best)]
+                else:
+                    child_row = []
+                    best = run = 0.0
+                    rest = iter(row)
+                    pos, val = next(rest)
+                    j = 0
+                    for k in ks:
+                        while pos < k:
+                            if val > run:
+                                run = val
+                            pos, val = next(rest, end)
+                        b = run if s_step else val if pos == k else 0.0
+                        if b > 0.0:
+                            v = ps[j] * b
+                            if v > best:
+                                best = v
+                            child_row.append((k, v))
+                        j += 1
                 if best > 0.0:
-                    cw = wgt_sum + weights.weight(item)
-                    cc = itm_cnt + 1
                     if child.wes is not None:
-                        child.wes += best * (cw / cc)
-                    if child.children:
-                        stack.append((child, child_row, cw, cc))
+                        child.wes += best * mean
+                    if sub:
+                        rows.append((sub, child_row))

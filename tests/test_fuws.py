@@ -291,7 +291,7 @@ def test_trace_leaves_the_mine_unchanged(db, weights, min_sup, bound):
     assert traced.bounded == plain.bounded == len(trace)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     db=databases() | databases(last_min_size=2),
     weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),

@@ -471,6 +471,17 @@ class TestCheckpoint:
                 load_state(path, other)
         load_state(path, WeightTable(dict(reversed(sample_weights.entries.items()))))
 
+    @pytest.mark.parametrize("held_in", ["seq_trie", "pfs_trie"])
+    def test_unweighted_trie_item_refused(self, held_in, sample_db, sample_weights, tmp_path):
+        # Without the check, (zz) would never be scanned and stay frequent at
+        # 3.0 for good.
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        getattr(state, held_in).insert(P("(zz)"), 3.0)
+        path = str(tmp_path / "ck.txt")
+        save_state(state, path)
+        with pytest.raises(MiningError, match="'zz', which has no weight"):
+            load_state(path, sample_weights)
+
     def test_other_format_version_refused(self, sample_db, sample_weights, tmp_path):
         path = tmp_path / "ck.txt"
         save_state(init_mining(sample_db, sample_weights, PARAMS), str(path))

@@ -327,3 +327,26 @@ def test_sup_calc_rows_match_dense_recurrence_bit_for_bit(db, stored):
     sup_calc(trie, db, WEIGHTS)
     for pat, wes in stored.items():
         assert trie.get_wes(pat) == dense_wes(pat, db, WEIGHTS, wes)
+
+
+WIDE_ITEMS = "abcfg"  # f and g occur in no drawn sequence
+wide_patterns = st.lists(itemsets(WIDE_ITEMS), min_size=1, max_size=4).map(
+    lambda evs: Pattern(tuple(evs))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=databases(items=DENSE_ITEMS) | databases(max_events=3),
+    stored=st.dictionaries(wide_patterns, st.sampled_from([0.0, 1.25]), min_size=1, max_size=10),
+)
+def test_sup_calc_plan_matches_dense_recurrence_bit_for_bit(db, stored):
+    # The plan's paths: root children that no sequence enters (f, g), I-edges
+    # below depth 1, items occurring once (the short databases) or in several
+    # events (the dense ones), and one-position rows meeting either.
+    trie = USeqTrie()
+    for pat, wes in stored.items():
+        trie.insert(pat, wes)
+    sup_calc(trie, db, WEIGHTS)
+    for pat, wes in stored.items():
+        assert trie.get_wes(pat) == dense_wes(pat, db, WEIGHTS, wes)

@@ -13,6 +13,7 @@ import pytest
 from useqmine import (
     Event,
     MiningParams,
+    Pattern,
     ProbItem,
     UncertainDatabase,
     USeqTrie,
@@ -22,6 +23,7 @@ from useqmine import (
     load_state,
     read_patterns_tsv,
     save_state,
+    sup_calc,
     uwsinc_step,
     uwsincplus_step,
     write_uncertain_db,
@@ -60,6 +62,21 @@ def test_mining_steps_and_checkpoint(long_db, tmp_path):
     assert resumed.seq_trie.snapshot() == text
     assert len(uwsincplus_step(resumed, delta)) == N
     assert resumed.seq_trie.snapshot() == state.seq_trie.snapshot()
+
+
+def test_sup_calc_scans_chains_of_both_edge_kinds(long_db):
+    # An S-chain over one long sequence, and an I-chain of N items in one
+    # event: one trie level, and one row on the scan's stack, per item.
+    s_chain = Pattern((("a",),) * N)
+    items = [f"i{k:04d}" for k in range(N)]
+    i_chain = Pattern((tuple(items),))
+    one_event = USequence((Event(tuple(ProbItem(it, 1.0) for it in items)),))
+    db = UncertainDatabase((long_db.sequences[0], one_event))
+    trie = USeqTrie()
+    for pat in (s_chain, i_chain):
+        trie.insert(pat)
+    sup_calc(trie, db, WeightTable({"a": 1.0, **dict.fromkeys(items, 0.5)}))
+    assert (trie.get_wes(s_chain), trie.get_wes(i_chain)) == (1.0, 0.5)
 
 
 def test_cli_mine(long_db, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from useqmine import (
     MiningError,
+    MissingWeightError,
     Pattern,
     UncertainDatabase,
     USeqTrie,
@@ -187,6 +188,28 @@ class TestSupCalc:
         sup_calc(two, delta1, sample_weights)
         for pat in pats:
             assert one.get_wes(pat) == pytest.approx(two.get_wes(pat), abs=1e-9)
+
+    def test_item_without_weight_refused_before_any_wes_changes(self, tmp_path):
+        # (a) is met first, but the plan looks up z's weight before the scan.
+        db = db_from_text(tmp_path, "a:0.5 -1 z:0.5 -1 -2\n")
+        trie = USeqTrie()
+        for pat in [P("(a)"), P("(z)")]:
+            trie.insert(pat, 0.0)
+        before = trie.snapshot()
+        with pytest.raises(MissingWeightError, match="'z'"):
+            sup_calc(trie, db, WeightTable({"a": 0.5}))
+        assert trie.get_wes(P("(a)")) == 0.0
+        assert trie.snapshot() == before
+
+    def test_i_edge_at_the_root_never_embeds(self, tmp_path):
+        # The empty prefix has no event for an I-edge to join. Only a direct
+        # add_child call can store one, here next to the S-edge of (a).
+        db = self.walkthrough_db(tmp_path)
+        trie = USeqTrie()
+        trie.insert(P("(a)"))
+        trie.add_child(trie.root, "I", "a")
+        sup_calc(trie, db, self.WT)
+        assert [node.wes for node in trie.root.children.values()] == [pytest.approx(0.72), 0.0]
 
 
 class TestSnapshot:
