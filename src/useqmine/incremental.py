@@ -1,8 +1,8 @@
 """Incremental maintenance of the weighted frequent set as a database grows.
 
-Two strategies share one state object and one fold (``_fold``): the WAM
-sums grow first, and they reject an increment holding an item without a
-weight before any state changes; then every tracked pattern, in both tries,
+Two strategies share one state object and one fold (``_fold``): it rejects
+an item without a weight, on a trie edge or in the increment, before any
+state changes; then the WAM sums grow, every tracked pattern, in both tries,
 gets the increment's contributions in one scan per trie, and the database
 size grows with it.
 
@@ -31,8 +31,10 @@ from dataclasses import dataclass
 from . import dataio
 from .fuws import mine_trie
 from .model import (
+    ItemId,
     MiningError,
     MiningParams,
+    MissingWeightError,
     ScoredPattern,
     Thresholds,
     UncertainDatabase,
@@ -76,10 +78,23 @@ def init_mining(
     )
 
 
+def _unweighted(tries: tuple[USeqTrie, ...], weights: WeightTable) -> ItemId | None:
+    """The least item on an edge of ``tries`` that ``weights`` lacks, if any."""
+    held: set[ItemId] = set()
+    stack = [trie.root for trie in tries]
+    while stack:
+        for (_, item), child in stack.pop().children.items():
+            held.add(item)
+            stack.append(child)
+    return min(held - weights.entries.keys(), default=None)
+
+
 def _fold(state: IncrementalState, delta: UncertainDatabase) -> Thresholds:
     """Add ``delta`` to the database counts and to every tracked pattern;
-    returns the thresholds over the grown database. The WAM sums go first:
-    they raise ``MissingWeightError`` before anything changes."""
+    returns the thresholds over the grown database. An unweighted item, on a
+    trie edge or in ``delta``, raises ``MissingWeightError`` first."""
+    if (item := _unweighted((state.seq_trie, state.pfs_trie), state.weights)) is not None:
+        raise MissingWeightError(item)
     state.wam_acc.add(delta, state.weights)
     for trie in (state.seq_trie, state.pfs_trie):
         if trie.root.children:
@@ -213,9 +228,8 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     for pat, _ in pfs_trie.patterns():
         if pat in seq_trie:
             raise MiningError(f"checkpoint holds {dataio.format_pattern(pat)} in both tries")
-    held = {it for trie in (seq_trie, pfs_trie) for pat, _ in trie.patterns() for ev in pat.events for it in ev}
-    if missing := min(held - weights.entries.keys(), default=None):
-        raise MiningError(f"checkpoint {path} holds item {missing!r}, which has no weight")
+    if (item := _unweighted((seq_trie, pfs_trie), weights)) is not None:
+        raise MiningError(f"checkpoint {path} holds item {item!r}, which has no weight")
     return IncrementalState(
         seq_trie=seq_trie,
         pfs_trie=pfs_trie,

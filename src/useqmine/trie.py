@@ -279,8 +279,7 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
                     rows.append((sub, list(zip(ks, ps))))
         while rows:
             plan, row = rows.pop()
-            first, v0 = row[0]
-            one = len(row) == 1
+            first = row[0][0]
             for item, s_step, child, mean, sub in plan:
                 occ = index.get(item)
                 if occ is None:
@@ -288,30 +287,23 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
                 ks, ps = occ
                 if ks[-1] < first + s_step:  # an S-step needs a later event
                     continue
-                if one and len(ks) == 1:
-                    k = ks[0]
-                    if not s_step and k != first:
-                        continue
-                    best = ps[0] * v0
-                    child_row = [(k, best)]
-                else:
-                    child_row = []
-                    best = run = 0.0
-                    rest = iter(row)
-                    pos, val = next(rest)
-                    j = 0
-                    for k in ks:
-                        while pos < k:
-                            if val > run:
-                                run = val
-                            pos, val = next(rest, end)
-                        b = run if s_step else val if pos == k else 0.0
-                        if b > 0.0:
-                            v = ps[j] * b
-                            if v > best:
-                                best = v
-                            child_row.append((k, v))
-                        j += 1
+                child_row = []
+                best = run = 0.0
+                rest = iter(row)
+                pos, val = next(rest)
+                j = 0
+                for k in ks:
+                    while pos < k:
+                        if val > run:
+                            run = val
+                        pos, val = next(rest, end)
+                    b = run if s_step else val if pos == k else 0.0
+                    if b > 0.0:
+                        v = ps[j] * b
+                        if v > best:
+                            best = v
+                        child_row.append((k, v))
+                    j += 1
                 if best > 0.0:
                     if child.wes is not None:
                         child.wes += best * mean

@@ -412,6 +412,22 @@ def test_delta_with_unweighted_item_leaves_state_unchanged(
     assert state_fingerprint(state) == before
 
 
+@pytest.mark.parametrize("held_in", ["seq_trie", "pfs_trie"])
+@pytest.mark.parametrize("step", [uwsinc_step, uwsincplus_step])
+def test_unweighted_trie_item_refused_before_the_fold(
+    step, held_in, sample_db, sample_weights, delta1, delta2
+):
+    # Only a direct insert can put an unweighted item on a live trie. The
+    # fold must refuse it before the WAM sums grow or seq_trie is scanned.
+    state = init_mining(sample_db, sample_weights, PARAMS)
+    uwsincplus_step(state, delta1)
+    getattr(state, held_in).insert(P("(a)(zz)"), 0.0)
+    before = state_fingerprint(state)
+    with pytest.raises(MissingWeightError, match="'zz'"):
+        step(state, delta2)
+    assert state_fingerprint(state) == before
+
+
 class TestCheckpoint:
     def test_round_trip(self, sample_db, sample_weights, delta1, delta2, tmp_path):
         state = init_mining(sample_db, sample_weights, PARAMS)
