@@ -83,6 +83,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "avg_length": f"{avg:.3f}",
             "candidates": stats.candidates,
             "false_positives": stats.false_positives,
+            "ruled_out": stats.ruled_out,
             "frequent": len(patterns),
             "grow_ms": f"{stats.grow_ms:.3f}",
             "verify_ms": f"{stats.verify_ms:.3f}",

@@ -2,8 +2,9 @@
 
 Pipeline: rewrite each item probability as the max over that item's remaining
 occurrences in its sequence, grow candidate patterns depth-first while an
-upper bound on weighted expected support clears the threshold, then verify
-every candidate with one scan of the original database and drop the rest.
+upper bound on weighted expected support clears the threshold, then verify,
+with one scan of the original database, every candidate its own bound cannot
+rule out, and drop the rest.
 
 A preprocessed sequence is only its stored item index with the probabilities
 rewritten: each item maps to the ascending positions of the events holding it
@@ -34,6 +35,21 @@ looser bound ``top`` puts ``maxpr * peak prob * projected support`` in place
 of ``est_sup``; ``mine_trie(bound="top")`` keeps it for benchmark comparison.
 Both bounds are computed in one place, the loop of ``_grow``.
 
+A candidate's own bound is est_sup, under either bound, times its own mean
+item weight m (the float the scan's plan computes), much tighter than ``est``.
+A generated candidate whose own bound times ``slack`` is below the floor
+``min_wes - EPS`` is ruled out: growth still counts and grows it (a descendant
+can be heavier), but stores it as a prefix-only node, which no scan verifies.
+
+The margin: the bound is (sum of p) * m and the verified wes the sum of
+best * m, equal in real arithmetic at the root. With u = 2**-53, n sequences
+and L items, the float bound (L - 1 products in maxpr, n - 1 sums, two more
+products) is at least (1 - u)**(n + L) times the real one, and the verified
+sum (L roundings per term, n - 1 sums, in any order) at most
+(1 + u)**(n + L - 1) times the real wes. ``slack = 1 + 4(n + L + 2)u``, exact
+in binary, covers their ratio, about 1 + 2(n + L)u, and its own product's
+rounding, so a ruled-out candidate misses the floor when verified too.
+
 Below the root, a node bounds only the items its parent generated: the
 parent's generated S-items, plus its generated I-items when the node is an
 I-extension, as PrefixSpan drops infrequent items from every projected
@@ -50,6 +66,7 @@ while the node's slots weigh less than its parent's ``est_wgt``.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from collections import defaultdict
@@ -142,6 +159,7 @@ class MineStats:
     bounded: int = 0  # (kind, item) slots bounded: all at the root, inherited ones below
     candidates: int = 0
     false_positives: int = 0
+    ruled_out: int = 0  # false positives settled by their own bound, with no scan
     survivors: int = 0
     grow_ms: float = 0.0
     verify_ms: float = 0.0
@@ -302,6 +320,8 @@ def mine_trie(
 ) -> tuple[USeqTrie, MineStats]:
     """Full pipeline. Returns the verified trie and run statistics.
 
+    Ruled-out candidates never reach the scan; ``false_positives`` counts them.
+
     ``min_sup`` is the effective support fraction: callers wanting a
     semi-frequent buffer pass min_sup * mu. It has no upper bound, because an
     increment's local mine runs at lwes_factor * min_sup * mu.
@@ -320,8 +340,9 @@ def mine_trie(
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
     # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
+    trie.prune_below(-math.inf)  # the ruled-out prefixes left childless
     sup_calc(trie, db, weights)
-    stats.false_positives = trie.prune_below(min_wes)
+    stats.false_positives = stats.ruled_out + trie.prune_below(min_wes)
     stats.survivors = stats.candidates - stats.false_positives
     stats.verify_ms = (time.perf_counter() - t1) * 1000.0
     return trie, stats
@@ -340,26 +361,27 @@ def _grow(
 
     A frame on the stack is one generated extension waiting to be grown: its
     slot's entries, its parent's ``open_item``, its trie node (which holds
-    its item and kind), its maxpr and largest item weight, its pattern (only
-    with a trace list), the items it inherits (see the module docstring) and
-    its parent's ``wgt_cap``. The root frame's node is the trie's root.
-    Popping any other frame projects it, so projection happens only when a
-    subtree is grown. Every frame then bounds each slot ``determine`` finds
-    among the inherited items, I-items then S-items, each in item order.
-    Each generated one is stored as a child of the frame's node and becomes
-    a frame, and the frames go on the stack in reverse, so the first is
-    grown first. The stack is explicit, so a long pattern cannot hit
-    Python's recursion limit. ``preprocess`` has looked up every item's
-    weight, so the weight table is read directly.
+    its item and kind), its maxpr, largest item weight, item weight sum and
+    length, its pattern (only with a trace list), the items it inherits (see
+    the module docstring) and its parent's ``wgt_cap``. The root frame's node
+    is the trie's root. Popping any other frame projects it, so projection
+    happens only when a subtree is grown. Every frame then bounds each slot
+    ``determine`` finds among the inherited items, I-items then S-items, each
+    in item order. Each generated one is stored as a child of the frame's
+    node, as a prefix only when its own bound rules it out, and becomes a
+    frame either way; the frames go on the stack in reverse, so the first is
+    grown first. The stack is explicit, so a long pattern cannot hit Python's
+    recursion limit. ``preprocess`` has looked up every item's weight, so the
+    weight table is read directly.
     """
     weight = weights.entries
     root = trie.root
     cap_bound = bound == "cap"
     floor = min_wes - EPS  # what ``meets`` compares with
     # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
-    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, None, None, 0.0)]
+    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0)]
     while stack:
-        entries, open_item, node, maxpr, mxw, prefix, alive, limit = stack.pop()
+        entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit = stack.pop()
         proj = ProjectedDB(entries, open_item)
         if node is not root:
             proj = project(pdb, proj, node.item, node.kind)
@@ -380,24 +402,31 @@ def _grow(
                         break
                 if wgt_cap == limit:
                     break
+        length += 1  # the children's pattern length
+        slack = 1.0 + 4 * (len(pdb) + length + 2) * 2.0**-53  # the module docstring's margin
         frames = []
         for kind, acc in slots.items():
             stats.bounded += len(acc)
             for item in sorted(acc):
                 prob_sum, prob_max, entries = acc[item]
-                est = (maxpr * prob_sum if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
+                sup = maxpr * prob_sum
+                est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
                 generated = est >= floor
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
                     top = maxpr * prob_max * len(entries)
-                    trace.append(BoundRecord(pat, kind, maxpr * prob_max, maxpr * prob_sum, top,
-                                             wgt_cap, generated))
+                    trace.append(BoundRecord(pat, kind, maxpr * prob_max, sup, top, wgt_cap,
+                                             generated))
                 if generated:
                     w = weight[item]
+                    cw = wsum + w
                     child = trie.add_child(node, kind, item)
+                    if sup * (cw / length) * slack < floor:
+                        child.wes = None  # ruled out: a prefix only
+                        stats.ruled_out += 1
                     frames.append((entries, proj.open_item, child, maxpr * prob_max,
-                                   mxw if mxw > w else w, pat))
+                                   mxw if mxw > w else w, cw, length, pat))
         stats.candidates += len(frames)
         # What the children inherit: the S-items generated here, and for an
         # I-child also the I-items.

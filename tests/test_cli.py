@@ -57,13 +57,14 @@ class TestMine:
         (row,) = read_csv(report)
         assert list(row) == [
             "command", "db", "weights", "min_sup", "wgt_fct", "mu", "db_size",
-            "distinct_items", "avg_length", "candidates", "false_positives", "frequent",
-            "grow_ms", "verify_ms", "total_ms",
+            "distinct_items", "avg_length", "candidates", "false_positives", "ruled_out",
+            "frequent", "grow_ms", "verify_ms", "total_ms",
         ]
         assert row["db_size"] == "6"
         assert row["distinct_items"] == "5"
         assert int(row["candidates"]) >= int(row["frequent"])
         assert int(row["false_positives"]) == int(row["candidates"]) - int(row["frequent"])
+        assert 0 <= int(row["ruled_out"]) <= int(row["false_positives"])
 
     def test_mu_default_gives_frequent_only(self, files, tmp_path):
         out = str(tmp_path / "out.tsv")

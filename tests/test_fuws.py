@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
+    EPS,
     BoundRecord,
     MiningError,
     Thresholds,
@@ -336,6 +337,76 @@ def test_mine_matches_unpruned_reference_growth(db, weights, min_sup, bound):
     assert {r.pattern for r in trace if r.generated} == set(generated)
     by_pattern = {r.pattern: r for r in records}
     assert all(by_pattern[r.pattern] == r for r in trace)  # wgt_cap and maxpr included
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases() | databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    bound=st.sampled_from(["cap", "top"]),
+)
+def test_ruled_out_candidates_are_below_the_floor(db, weights, min_sup, bound):
+    # Growth rules out a generated candidate whose cap support bound times
+    # its mean item weight, with the rounding margin, is below the floor. It
+    # is never scanned, so its brute-force wes must miss the floor too.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    trace = []
+    _, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
+    ruled_out = []
+    for rec in trace:
+        slack = 1.0 + 4 * (db.size + rec.pattern.length + 2) * 2.0**-53
+        own = rec.exp_sup_cap * s_weight(rec.pattern, wt) * slack
+        if rec.generated and not meets(own, stats.min_wes):
+            ruled_out.append(rec.pattern)
+    for pat in ruled_out:
+        wes = sum(max_pr_dynamic(pat, seq) * s_weight(pat, wt) for seq in db.sequences)
+        assert not meets(wes, stats.min_wes)
+    assert len(ruled_out) == stats.ruled_out
+
+
+def test_root_candidate_at_the_floor_is_reported(tmp_path):
+    # (0.2 + 0.29) * 0.9 rounds one ulp below 0.2 * 0.9 + 0.29 * 0.9, the
+    # verified wes of (a), and min_sup puts the floor min_wes - EPS exactly
+    # on the latter. b (weight 1.0) lifts wgt_cap, so (a) is generated, and
+    # only the rounding margin keeps its own bound from ruling it out.
+    db = db_from_text(tmp_path, "a:0.2 b:0.01 -1 -2\na:0.29 -1 -2\n")
+    wt = WeightTable({"a": 0.9, "b": 1.0})
+    wam = (2 * 0.9 + 1.0) / 3
+    wes = 0.2 * 0.9 + 0.29 * 0.9
+    min_sup = (wes + EPS) / (2 * wam)
+    for _ in range(100):
+        floor = Thresholds.compute(min_sup, 2, wam, 1.0, 1.0).min_wes - EPS
+        if floor == wes:
+            break
+        min_sup = math.nextafter(min_sup, -math.inf if floor > wes else math.inf)
+    trace = []
+    trie, stats = mine_trie(db, wt, min_sup, 1.0, trace=trace)
+    rec = next(r for r in trace if r.pattern == P("(a)"))
+    assert rec.generated
+    assert rec.exp_sup_cap * 0.9 < stats.min_wes - EPS == wes
+    assert stats.ruled_out == 0
+    assert patterns_by_key(trie.collect(stats.min_wes)) == {P("(a)"): wes}
+
+
+def test_scan_gets_only_live_subtrees(sample_db, sample_weights, monkeypatch):
+    scanned = []
+
+    def scan(trie, db, weights):
+        scanned.append(trie.snapshot().splitlines())
+        sup_calc(trie, db, weights)
+
+    monkeypatch.setattr(FUWS, "sup_calc", scan)
+    trie, stats = mine_trie(sample_db, sample_weights, 0.14, 1.0, bound="top")
+    assert stats.ruled_out > 0
+    assert stats.false_positives >= stats.ruled_out
+    (lines,) = scanned
+    depths = [int(line.split()[0]) for line in lines] + [0]
+    leaves = [line for i, line in enumerate(lines) if depths[i + 1] <= depths[i]]
+    assert leaves and all(line.split()[3] == "0.0" for line in leaves)
+    assert len(lines) < stats.candidates
+    # A '-' node without a child is refused by the reader.
+    assert USeqTrie.from_snapshot(trie.snapshot()).snapshot() == trie.snapshot()
 
 
 @pytest.mark.parametrize("bound", ["cap", "top"])
