@@ -40,7 +40,7 @@ def _from_flags(cls, **fields):
 
 
 def _db_stats(db: UncertainDatabase) -> tuple[int, int, float]:
-    total_items = sum(seq.length for seq in db.sequences)
+    total_items = sum(db.item_frequencies().values())
     avg = total_items / db.size if db.size else 0.0
     return db.size, len(db.alphabet()), avg
 

@@ -132,7 +132,8 @@ class SplitSpec:
     """Contiguous split: an initial fraction, then increments.
 
     Increments are either explicit fractions of the initial size, or ``count``
-    sizes drawn uniformly from ``ratio_range`` with the given seed.
+    fractions drawn uniformly from ``ratio_range`` with the given seed; a
+    ``count`` or ``seed`` without ``ratio_range`` is refused.
     """
 
     initial_fraction: float
@@ -158,6 +159,8 @@ class SplitSpec:
                 raise MiningError("ratio_range needs a positive count")
             if self.seed is None:
                 raise MiningError("ratio_range needs a seed")
+        elif self.count is not None or self.seed is not None:
+            raise MiningError("count and seed are read only with ratio_range")
 
 
 # -- sequence files -----------------------------------------------------------
@@ -324,17 +327,12 @@ def split_db(db: UncertainDatabase, spec: SplitSpec) -> tuple[UncertainDatabase,
     total = db.size
     initial_size = round(spec.initial_fraction * total)
     initial_size = max(1, min(total, initial_size))
-    if spec.increment_fractions is not None:
-        sizes = [max(1, round(f * initial_size)) for f in spec.increment_fractions]
-    elif spec.ratio_range is not None:
+    fractions = spec.increment_fractions or ()
+    if spec.ratio_range is not None:
         lo, hi = spec.ratio_range
         rng = Xoshiro256StarStar(spec.seed)
-        sizes = [
-            max(1, round((lo + (hi - lo) * rng.uniform()) * initial_size))
-            for _ in range(spec.count)
-        ]
-    else:
-        sizes = []
+        fractions = [lo + (hi - lo) * rng.uniform() for _ in range(spec.count)]
+    sizes = [max(1, round(f * initial_size)) for f in fractions]
     if initial_size + sum(sizes) > total:
         raise MiningError(
             f"split needs {initial_size + sum(sizes)} sequences, file has {total}"

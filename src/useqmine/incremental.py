@@ -185,9 +185,10 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     """Read a checkpoint written by ``save_state`` with the same weight table.
 
     Raises ``MiningError`` for another format version, for a state mined
-    with other weights, for a pattern held in both tries, for a trie item
-    without a weight, and for a malformed file; a byte that is not UTF-8
-    raises ``ParseError`` naming its line.
+    with other weights, for WAM sums no saved state can hold, for a pattern
+    held in both tries, for a trie item without a weight, and for a
+    malformed file; a byte that is not UTF-8 raises ``ParseError`` naming
+    its line.
     """
     lines = [line.rstrip("\n") for _, line in dataio._lines(path)]
     if not lines:
@@ -218,6 +219,10 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
         raise MiningError(f"bad checkpoint header: {exc}") from None
     for name, value in (("db_size", db_size), ("wam_num", wam_num), ("wam_den", wam_den)):
         check_nonnegative(f"checkpoint {name}", value)
+    # A saved state holds a sequence, an item per sequence and weights in (0, 1].
+    if not (1 <= db_size <= wam_den and 0.0 < wam_num <= wam_den):
+        raise MiningError(f"checkpoint {path} holds WAM sums {wam_num!r} / {wam_den} over "
+                          f"{db_size} sequences, which no saved state can hold")
     if lines[1:2] != [CHECKPOINT_SEQ] or lines.count(CHECKPOINT_PFS) != 1:
         raise MiningError(
             f"checkpoint {path} needs {CHECKPOINT_SEQ} as line 2 and one {CHECKPOINT_PFS} line"

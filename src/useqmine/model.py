@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 # Absolute tolerance used by every threshold classification in the package.
 # Accumulation order must never flip a frequent/infrequent decision.
@@ -68,34 +68,31 @@ def check_item_token(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True, slots=True)
-class ProbItem:
-    """An item occurrence with its existential probability."""
+class ProbItem(NamedTuple):
+    """An item occurrence with its existential probability, as the ``events`` view gives it."""
 
     item: ItemId
     prob: float
 
-    def __post_init__(self):
-        check_item_token(self.item)
-        if not 0.0 < self.prob <= 1.0:
-            raise MiningError(f"probability of {self.item!r} out of (0, 1]: {self.prob}")
 
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One itemset of a sequence; items strictly ascending, no duplicates."""
+class Event(NamedTuple):
+    """One event of the ``events`` view: its items ascending."""
 
     items: tuple[ProbItem, ...]
 
-    def __post_init__(self):
-        items = self.items
-        if not items:
-            raise MiningError("empty event")
-        for a, b in zip(items, items[1:]):
-            if a.item >= b.item:
-                if a.item == b.item:
-                    raise MiningError(f"duplicate item {a.item!r} in event")
-                raise MiningError(f"event items not strictly ascending: {[pi.item for pi in items]}")
+
+def _checked_event(pairs: Iterable[tuple[ItemId, float]]) -> list[tuple[ItemId, float]]:
+    """One event's ``(item, prob)`` pairs, checked as the file reader checks them, sorted."""
+    out = []
+    for item, p in pairs:
+        check_item_token(item)
+        if not 0.0 < p <= 1.0:
+            raise MiningError(f"probability of {item!r} out of (0, 1]: {p}")
+        out.append((item, p))
+    if not out:
+        raise MiningError("empty event")
+    out.sort()  # a repeated item sorts next to itself; ``_fill`` reports it
+    return out
 
 
 Occurrences = tuple[tuple[int, ...], tuple[float, ...]]
@@ -116,8 +113,10 @@ class USequence:
     index: dict[ItemId, Occurrences]
     n_events: int
 
-    def __init__(self, events: Iterable[Event]):
-        self._fill([(pi.item, pi.prob) for pi in ev.items] for ev in events)
+    def __init__(self, events: Iterable[Iterable[tuple[ItemId, float]]]):
+        """The sequence of each event's ``(item, prob)`` pairs, items in any
+        order; refuses whatever ``parse_uncertain_db`` refuses for the same line."""
+        self._fill(map(_checked_event, events))
 
     @classmethod
     def of(cls, events: Iterable[list[tuple[ItemId, float]]]) -> USequence:
@@ -150,11 +149,7 @@ class USequence:
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return tuple(Event(tuple(ProbItem(*pi) for pi in sorted(m.items()))) for m in self.event_maps())
-
-    @property
-    def length(self) -> int:
-        return sum(len(ks) for ks, _ in self.index.values())
+        return tuple(Event(tuple(map(ProbItem._make, sorted(m.items())))) for m in self.event_maps())
 
 
 @dataclass(frozen=True)

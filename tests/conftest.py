@@ -5,9 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from useqmine import (
-    Event,
     MiningError,
-    ProbItem,
     UncertainDatabase,
     USequence,
     WeightTable,
@@ -96,10 +94,7 @@ def databases(draw, max_events=6, last_min_size=1, items=DB_ITEMS):
     seqs = []
     for _ in range(draw(st.integers(1, 5))):
         sizes = [1] * (draw(st.integers(1, max_events)) - 1) + [last_min_size]
-        events = tuple(
-            Event(tuple(ProbItem(it, draw(PROBS)) for it in draw(itemsets(items, size))))
-            for size in sizes
-        )
+        events = [[(it, draw(PROBS)) for it in draw(itemsets(items, size))] for size in sizes]
         seqs.append(USequence(events))
     return UncertainDatabase(tuple(seqs))
 
@@ -161,10 +156,8 @@ def random_db(rng: random.Random, max_seqs=12, max_events=6, alphabet=5, min_seq
         for _ in range(rng.randint(1, max_events)):
             k = rng.randint(1, min(3, alphabet))
             chosen = sorted(rng.sample(items, k))
-            evs.append(
-                Event(tuple(ProbItem(it, round(rng.uniform(0.05, 0.95), 3)) for it in chosen))
-            )
-        seqs.append(USequence(tuple(evs)))
+            evs.append([(it, round(rng.uniform(0.05, 0.95), 3)) for it in chosen])
+        seqs.append(USequence(evs))
     return UncertainDatabase(tuple(seqs))
 
 

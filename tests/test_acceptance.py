@@ -36,7 +36,7 @@ from useqmine import (
 )
 from useqmine.cli import main
 from useqmine.dataio import SplitSpec
-from useqmine.model import Event, ProbItem, USequence, extend, single
+from useqmine.model import USequence, extend, single
 from useqmine.oracle import _max_pr_enum
 
 from conftest import (
@@ -434,11 +434,8 @@ def test_criterion_9_supcalc_scaling():
     alpha = "abcde"
     seqs = []
     for _ in range(150):
-        evs = [
-            Event(tuple(ProbItem(it, round(rng.uniform(0.3, 0.9), 3)) for it in alpha))
-            for _ in range(8)
-        ]
-        seqs.append(USequence(tuple(evs)))
+        evs = [[(it, round(rng.uniform(0.3, 0.9), 3)) for it in alpha] for _ in range(8)]
+        seqs.append(USequence(evs))
     db = UncertainDatabase(tuple(seqs))
     wt = WeightTable({it: 0.8 for it in alpha})
 

@@ -400,6 +400,11 @@ class TestSplit:
         assert a == b
         sizes = [inc.size for inc in a[1]]
         assert all(1 <= s <= 4 for s in sizes)
+        # The drawn ratios are increment fractions: the same draws given as
+        # fractions split the same way.
+        rng4 = Xoshiro256StarStar(4)
+        drawn = tuple(0.2 + (0.6 - 0.2) * rng4.uniform() for _ in range(2))
+        assert split_db(db, SplitSpec(initial_fraction=0.5, increment_fractions=drawn)) == a
 
     def test_overflow_rejected(self, sample_db):
         with pytest.raises(MiningError):
@@ -416,6 +421,9 @@ class TestSplit:
             SplitSpec(
                 initial_fraction=0.5, increment_fractions=(0.5,), ratio_range=(0.1, 0.2)
             )
+        for unread in ({"count": 2}, {"seed": 4}, {"increment_fractions": (0.5,), "seed": 4}):
+            with pytest.raises(MiningError, match="read only with ratio_range"):
+                SplitSpec(initial_fraction=0.5, **unread)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_fractions_rejected(self, value):

@@ -545,6 +545,36 @@ class TestCheckpointNumbers:
         with pytest.raises(MiningError, match=f"checkpoint {name} must be finite and not"):
             load_state(str(checkpoint), sample_weights)
 
+    @pytest.mark.parametrize(
+        "sums, loads",
+        [
+            (("0", "0.0", "0"), False),  # read as WAM 0 and minWES 0, every pattern frequent
+            (("0", "27.2", "31"), False),
+            (("6", "27.2", "5"), False),  # fewer occurrences than sequences
+            (("6", "0.0", "31"), False),
+            (("6", "31.5", "31"), False),  # a weight above 1
+            (("6", "6.0", "6"), True),  # one item of weight 1 per sequence
+        ],
+        ids=["empty", "no-sequence", "fewer-items-than-sequences", "zero-weight-sum",
+             "weight-above-1", "every-weight-1"],
+    )
+    def test_wam_sums_no_state_can_hold(self, sample_db, sample_weights, tmp_path, sums, loads):
+        # A saved state has db_size >= 1, wam_den >= db_size and
+        # 0 < wam_num <= wam_den: init_mining refuses an empty database,
+        # every sequence holds an item and every weight is in (0, 1].
+        path = tmp_path / "ck.txt"
+        save_state(init_mining(sample_db, sample_weights, PARAMS), str(path))
+        head, rest = path.read_text().split("\n", 1)
+        fields = head.split()
+        assert fields[2:5] == ["6", "27.200000000000003", "31"]
+        fields[2:5] = sums
+        path.write_text(" ".join(fields) + "\n" + rest)
+        if loads:
+            assert load_state(str(path), sample_weights).wam_acc.wam == 1.0
+        else:
+            with pytest.raises(MiningError, match="which no saved state can hold"):
+                load_state(str(path), sample_weights)
+
     @pytest.mark.parametrize("section", [incremental.CHECKPOINT_SEQ, incremental.CHECKPOINT_PFS])
     @pytest.mark.parametrize("wes", ["x", "nan", "inf", "-3.0"])
     def test_bad_snapshot_wes(self, checkpoint, sample_weights, section, wes):

@@ -11,10 +11,8 @@ import sys
 import pytest
 
 from useqmine import (
-    Event,
     MiningParams,
     Pattern,
-    ProbItem,
     UncertainDatabase,
     USeqTrie,
     USequence,
@@ -32,7 +30,7 @@ from useqmine import (
 from useqmine.cli import main
 
 N = 1200
-A = Event((ProbItem("a", 1.0),))
+A = [("a", 1.0)]
 WT = WeightTable({"a": 1.0})
 
 
@@ -70,7 +68,7 @@ def test_sup_calc_scans_chains_of_both_edge_kinds(long_db):
     s_chain = Pattern((("a",),) * N)
     items = [f"i{k:04d}" for k in range(N)]
     i_chain = Pattern((tuple(items),))
-    one_event = USequence((Event(tuple(ProbItem(it, 1.0) for it in items)),))
+    one_event = USequence([[(it, 1.0) for it in items]])
     db = UncertainDatabase((long_db.sequences[0], one_event))
     trie = USeqTrie()
     for pat in (s_chain, i_chain):

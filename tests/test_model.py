@@ -26,7 +26,7 @@ from useqmine import (
 )
 from useqmine.model import check_item_token
 
-from conftest import P, databases
+from conftest import PROBS, P, databases
 
 
 class TestSWeight:
@@ -121,22 +121,25 @@ class TestExtend:
 
 class TestValidation:
     def test_prob_range(self):
-        with pytest.raises(MiningError):
-            ProbItem("a", 0.0)
-        with pytest.raises(MiningError):
-            ProbItem("a", 1.5)
-        assert ProbItem("a", 1.0).prob == 1.0
+        for prob in (0.0, 1.5):
+            with pytest.raises(MiningError, match=r"probability of 'a' out of \(0, 1\]"):
+                USequence([[("a", prob)]])
+        assert USequence([[("a", 1.0)]]).index == {"a": ((0,), (1.0,))}
 
     def test_event_ordering(self):
-        with pytest.raises(MiningError, match="not strictly ascending"):
-            Event((ProbItem("b", 0.5), ProbItem("a", 0.5)))
+        # Items may come in any order within an event, as the file reader
+        # takes them; the sequence stores them ascending.
+        seq = USequence([[("b", 0.5), ("a", 0.4)], [("c", 0.3)]])
+        assert seq == USequence([[("a", 0.4), ("b", 0.5)], [("c", 0.3)]])
+        assert list(seq.index) == ["a", "b", "c"]
+        assert seq.events[0] == Event((ProbItem("a", 0.4), ProbItem("b", 0.5)))
         with pytest.raises(MiningError, match="duplicate item 'a' in event"):
-            Event((ProbItem("a", 0.5), ProbItem("a", 0.6)))
+            USequence([[("a", 0.5), ("b", 0.2), ("a", 0.6)]])
 
     def test_empty_event_and_sequence(self):
-        with pytest.raises(MiningError):
-            Event(())
-        with pytest.raises(MiningError):
+        with pytest.raises(MiningError, match="empty event"):
+            USequence([[("a", 0.5)], []])
+        with pytest.raises(MiningError, match="sequence has no events"):
             USequence(events=())
 
     def test_weight_range(self):
@@ -151,7 +154,7 @@ class TestValidation:
         with pytest.raises(MiningError, match="UTF-8"):
             check_item_token(token)
         with pytest.raises(MiningError):
-            ProbItem(token, 0.5)
+            USequence([[(token, 0.5)]])
         with pytest.raises(MiningError):
             parse_pattern(f"({token})")
         with pytest.raises(MiningError):
@@ -262,12 +265,11 @@ def naive_index(events):
 def test_stored_index_encodes_the_events_view(tmp_path_factory, db):
     for seq in db.sequences:
         events = seq.events
-        assert USequence(events) == seq
+        assert USequence(ev.items for ev in events) == seq
         want = naive_index(events)
         # Key order too: the WAM sums add items in order of first occurrence.
         assert list(seq.index.items()) == list(want.items())
         assert seq.n_events == len(events)
-        assert seq.length == sum(len(ev.items) for ev in events)
     occurrences = [pi.item for seq in db.sequences for ev in seq.events for pi in ev.items]
     assert list(db.item_frequencies().items()) == [
         (item, occurrences.count(item)) for item in dict.fromkeys(occurrences)
@@ -275,3 +277,56 @@ def test_stored_index_encodes_the_events_view(tmp_path_factory, db):
     path = tmp_path_factory.getbasetemp() / "index-rt.txt"
     write_uncertain_db(str(path), db)
     assert parse_uncertain_db(str(path)) == db
+
+
+BAD_TOKENS = ["", "-1", "-2", "a:b", "a b", "(a)"]
+BAD_PROBS = [0.0, -0.5, 1.5, math.nan, math.inf]
+
+
+@st.composite
+def pair_events(draw):
+    """Events of ``(item, prob)`` pairs, items in drawn order, and at most
+    one defect: a token or probability no file may hold, an empty event or
+    a repeated item."""
+    pair = st.tuples(st.sampled_from("abcd"), PROBS)
+    event = st.lists(pair, min_size=1, max_size=3, unique_by=lambda t: t[0])
+    events = draw(st.lists(event, max_size=4))
+    defect = draw(st.sampled_from([None, "token", "prob", "empty", "repeat"]))
+    if events and defect is not None:
+        ev = events[draw(st.integers(0, len(events) - 1))]
+        j = draw(st.integers(0, len(ev) - 1))
+        item, prob = ev[j]
+        if defect == "token":
+            ev[j] = (draw(st.sampled_from(BAD_TOKENS)), prob)
+        elif defect == "prob":
+            ev[j] = (item, draw(st.sampled_from(BAD_PROBS)))
+        elif defect == "empty":
+            events.insert(draw(st.integers(0, len(events))), [])
+        else:
+            ev.insert(draw(st.integers(0, len(ev))), (item, draw(PROBS)))
+    return events
+
+
+def refused_or_built(build):
+    try:
+        return build()
+    except MiningError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=pair_events())
+@example(events=[[("b", 0.5), ("a", 1.0)], [("a", 0.25)]])
+@example(events=[[("a", 0.5), ("b", 0.5), ("a", 0.5)]])
+@example(events=[[("a", math.nan)]])
+def test_constructor_and_reader_agree(tmp_path_factory, events):
+    # The line the writer would give these events: both refuse it, or both
+    # build the same sequence.
+    line = " ".join(
+        [tok for ev in events for tok in [f"{it}:{p!r}" for it, p in ev] + ["-1"]] + ["-2"]
+    )
+    path = tmp_path_factory.getbasetemp() / "agree.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    built = refused_or_built(lambda: USequence(events))
+    read = refused_or_built(lambda: parse_uncertain_db(str(path)).sequences[0])
+    assert built == read

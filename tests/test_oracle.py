@@ -3,9 +3,7 @@ import random
 import pytest
 
 from useqmine import (
-    Event,
     OracleSizeError,
-    ProbItem,
     UncertainDatabase,
     USequence,
     WeightTable,
@@ -100,14 +98,14 @@ class TestOracleMine:
             assert a[pat] == pytest.approx(b[pat], abs=1e-9)
 
     def test_size_guards(self):
-        ev = Event((ProbItem("a", 0.5),))
+        ev = [("a", 0.5)]
         big = UncertainDatabase((USequence((ev,)),) * 21)
         with pytest.raises(OracleSizeError):
             oracle_mine(big, WeightTable({"a": 1.0}), 1.0)
         long = UncertainDatabase((USequence((ev,)), USequence((ev,) * 9)))
         with pytest.raises(OracleSizeError, match="sequence 2 has 9 events"):
             oracle_mine(long, WeightTable({"a": 1.0}), 1.0)
-        wide_ev = Event(tuple(ProbItem(chr(97 + i), 0.5) for i in range(9)))
+        wide_ev = [(chr(97 + i), 0.5) for i in range(9)]
         wide = UncertainDatabase((USequence((wide_ev,)),))
         with pytest.raises(OracleSizeError):
             oracle_mine(wide, WeightTable({chr(97 + i): 1.0 for i in range(9)}), 1.0)
