@@ -54,6 +54,7 @@ from .dataio import (
     GenConfig,
     ParseError,
     SplitSpec,
+    draw_fractions,
     format_pattern,
     gen_uncertain,
     parse_pattern,

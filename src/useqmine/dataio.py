@@ -4,9 +4,10 @@ Uncertain sequence file: one sequence per line, whitespace-separated tokens.
 ``item:prob`` is an item occurrence, ``-1`` closes an event, ``-2`` closes the
 sequence and must be the last token; precise SPMF sequence files follow the
 same grammar with bare items. Items inside an event are re-sorted ascending on
-load. Weight file: ``item weight`` per line. The readers build sequences
-straight into their item index, checking each distinct item once per file and
-each probability and event as they go; every error names its line.
+load, by ``USequence``. Weight file: ``item weight`` per line. The readers
+build sequences straight into their item index, checking each distinct item
+once per file and each probability and event as they go; every error names
+its line.
 
 Generation turns a precise SPMF dataset into an uncertain weighted one by
 drawing a Gaussian probability per item occurrence and a Gaussian weight per
@@ -18,6 +19,7 @@ give byte-identical outputs anywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -129,38 +131,28 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Contiguous split: an initial fraction, then increments.
-
-    Increments are either explicit fractions of the initial size, or ``count``
-    fractions drawn uniformly from ``ratio_range`` with the given seed; a
-    ``count`` or ``seed`` without ``ratio_range`` is refused.
-    """
+    """Contiguous split: an initial fraction, then increments, each a fraction
+    of the initial size (``draw_fractions`` draws them at random)."""
 
     initial_fraction: float
-    increment_fractions: tuple[float, ...] | None = None
-    ratio_range: tuple[float, float] | None = None
-    count: int | None = None
-    seed: int | None = None
+    increment_fractions: tuple[float, ...] = ()
 
     def __post_init__(self):
         check_positive("initial_fraction", self.initial_fraction, 1.0)
-        ranged = self.ratio_range is not None
-        listed = self.increment_fractions is not None
-        if ranged and listed:
-            raise MiningError("give increment_fractions or ratio_range, not both")
-        if listed:
-            for f in self.increment_fractions:
-                check_positive("increment fraction", f)
-        if ranged:
-            lo, hi = self.ratio_range
-            if not 0.0 < lo <= hi < math.inf:
-                raise MiningError(f"bad ratio range: {self.ratio_range}")
-            if self.count is None or self.count < 1:
-                raise MiningError("ratio_range needs a positive count")
-            if self.seed is None:
-                raise MiningError("ratio_range needs a seed")
-        elif self.count is not None or self.seed is not None:
-            raise MiningError("count and seed are read only with ratio_range")
+        for f in self.increment_fractions:
+            check_positive("increment fraction", f)
+
+
+def draw_fractions(ratio_range: tuple[float, float], count: int, seed: int) -> tuple[float, ...]:
+    """``count`` increment fractions drawn uniformly from ``ratio_range`` by
+    the pinned generator seeded with ``seed``."""
+    lo, hi = ratio_range
+    if not 0.0 < lo <= hi < math.inf:
+        raise MiningError(f"bad ratio range: {ratio_range}")
+    if not isinstance(count, int) or count < 1:
+        raise MiningError(f"count must be a positive int: {count!r}")
+    rng = Xoshiro256StarStar(seed)
+    return tuple(lo + (hi - lo) * rng.uniform() for _ in range(count))
 
 
 # -- sequence files -----------------------------------------------------------
@@ -214,7 +206,6 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
             if not 0.0 < prob <= 1.0:
                 raise MiningError(f"probability of {item!r} out of (0, 1]: {prob}")
             pairs.append((item, prob))
-        pairs.sort()  # a repeated item sorts next to itself; ``USequence.of`` reports it
         return pairs
 
     sequences: list[USequence] = []
@@ -299,17 +290,17 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
             continue
         try:
             raw = _events(tokens) if fmt == "spmf-seq" else [[tok] for tok in dict.fromkeys(tokens)]
-            events = []
-            for items in raw:
-                probs = {
-                    item: _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std))
-                    for item in dict.fromkeys(items)
-                }
-                for item in sorted(probs.keys() - seen.keys()):
+            events = [
+                {it: _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std)) for it in dict.fromkeys(items)}
+                for items in raw
+            ]
+            seq = USequence.of([list(probs.items()) for probs in events])
+            for item in seq.index:  # new tokens in index order: ascending inside an event
+                if item not in seen:
                     check_item_token(item)
+            for probs in events:
                 seen.update(probs)
-                events.append(sorted(probs.items()))
-            sequences.append(USequence.of(events))
+            sequences.append(seq)
         except MiningError as exc:
             raise ParseError(path, lineno, str(exc)) from None
     # Every token in ``seen`` is checked and every weight clamped into [0.01, 1.0].
@@ -325,26 +316,13 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
 def split_db(db: UncertainDatabase, spec: SplitSpec) -> tuple[UncertainDatabase, list[UncertainDatabase]]:
     """Order-preserving contiguous split into an initial part plus increments."""
     total = db.size
-    initial_size = round(spec.initial_fraction * total)
-    initial_size = max(1, min(total, initial_size))
-    fractions = spec.increment_fractions or ()
-    if spec.ratio_range is not None:
-        lo, hi = spec.ratio_range
-        rng = Xoshiro256StarStar(spec.seed)
-        fractions = [lo + (hi - lo) * rng.uniform() for _ in range(spec.count)]
-    sizes = [max(1, round(f * initial_size)) for f in fractions]
-    if initial_size + sum(sizes) > total:
-        raise MiningError(
-            f"split needs {initial_size + sum(sizes)} sequences, file has {total}"
-        )
-
-    initial = UncertainDatabase(db.sequences[:initial_size])
-    increments = []
-    at = initial_size
-    for size in sizes:
-        increments.append(UncertainDatabase(db.sequences[at : at + size]))
-        at += size
-    return initial, increments
+    initial_size = max(1, min(total, round(spec.initial_fraction * total)))
+    sizes = [max(1, round(f * initial_size)) for f in spec.increment_fractions]
+    ends = list(itertools.accumulate(sizes, initial=initial_size))
+    if ends[-1] > total:
+        raise MiningError(f"split needs {ends[-1]} sequences, file has {total}")
+    parts = [UncertainDatabase(db.sequences[a:b]) for a, b in zip([0, *ends], ends)]
+    return parts[0], parts[1:]
 
 
 # -- pattern output -----------------------------------------------------------

@@ -24,6 +24,7 @@ never overshoot the truth.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -187,8 +188,8 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     Raises ``MiningError`` for another format version, for a state mined
     with other weights, for WAM sums no saved state can hold, for a pattern
     held in both tries, for a trie item without a weight, and for a
-    malformed file; a byte that is not UTF-8 raises ``ParseError`` naming
-    its line.
+    malformed file; a byte that is not UTF-8, a malformed header or a
+    malformed trie line raises ``ParseError`` naming the path and the line.
     """
     lines = [line.rstrip("\n") for _, line in dataio._lines(path)]
     if not lines:
@@ -200,7 +201,7 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
             f"checkpoint {path} is not format {CHECKPOINT_VERSION} (found {found})"
         )
     if len(head) != 9:
-        raise MiningError(f"checkpoint header needs 9 fields, got {len(head)}")
+        raise dataio.ParseError(path, 1, f"checkpoint header needs 9 fields, got {len(head)}")
     if head[1] != _weights_digest(weights):
         raise MiningError(
             f"checkpoint {path} was written with a different weight table; refusing to resume"
@@ -216,7 +217,7 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
             lwes_factor=float(head[8]),
         )
     except ValueError as exc:
-        raise MiningError(f"bad checkpoint header: {exc}") from None
+        raise dataio.ParseError(path, 1, f"bad checkpoint header: {exc}") from None
     for name, value in (("db_size", db_size), ("wam_num", wam_num), ("wam_den", wam_den)):
         check_nonnegative(f"checkpoint {name}", value)
     # A saved state holds a sequence, an item per sequence and weights in (0, 1].
@@ -228,8 +229,9 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
             f"checkpoint {path} needs {CHECKPOINT_SEQ} as line 2 and one {CHECKPOINT_PFS} line"
         )
     pfs_at = lines.index(CHECKPOINT_PFS)
-    seq_trie = USeqTrie.from_snapshot("\n".join(lines[2:pfs_at]))
-    pfs_trie = USeqTrie.from_snapshot("\n".join(lines[pfs_at + 1 :]))
+    error = functools.partial(dataio.ParseError, path)  # numbered as lines of the file
+    seq_trie = USeqTrie.from_snapshot(enumerate(lines[2:pfs_at], start=3), error)
+    pfs_trie = USeqTrie.from_snapshot(enumerate(lines[pfs_at + 1 :], start=pfs_at + 2), error)
     for pat, _ in pfs_trie.patterns():
         if pat in seq_trie:
             raise MiningError(f"checkpoint holds {dataio.format_pattern(pat)} in both tries")

@@ -53,7 +53,7 @@ def check_nonnegative(name: str, value: float) -> None:
 
 def check_item_token(token: str) -> str:
     """Validate an item identifier; returns it unchanged."""
-    if not token or token in RESERVED_TOKENS:
+    if not isinstance(token, str) or not token or token in RESERVED_TOKENS:
         raise MiningError(f"invalid item token {token!r}")
     # ``split`` cuts at exactly the characters ``isspace`` accepts, in C.
     # Parentheses delimit a pattern's itemsets when it is written out.
@@ -81,17 +81,23 @@ class Event(NamedTuple):
     items: tuple[ProbItem, ...]
 
 
+def _checked_unit(what: str, item: ItemId, value: object) -> float:
+    """A probability or weight given in code, as a float in (0, 1]; a ``bool`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MiningError(f"{what} of {item!r} is not a number: {value!r}")
+    if not 0.0 < value <= 1.0:
+        raise MiningError(f"{what} of {item!r} out of (0, 1]: {value}")
+    return float(value)
+
+
 def _checked_event(pairs: Iterable[tuple[ItemId, float]]) -> list[tuple[ItemId, float]]:
-    """One event's ``(item, prob)`` pairs, checked as the file reader checks them, sorted."""
-    out = []
-    for item, p in pairs:
-        check_item_token(item)
-        if not 0.0 < p <= 1.0:
-            raise MiningError(f"probability of {item!r} out of (0, 1]: {p}")
-        out.append((item, p))
+    """One event's ``(item, prob)`` pairs, checked as the file reader checks them."""
+    try:  # the checks raise only MiningError: these come from iterating and unpacking
+        out = [(check_item_token(it), _checked_unit("probability", it, p)) for it, p in pairs]
+    except (TypeError, ValueError):
+        raise MiningError(f"event {pairs!r} is not (item, prob) pairs") from None
     if not out:
         raise MiningError("empty event")
-    out.sort()  # a repeated item sorts next to itself; ``_fill`` reports it
     return out
 
 
@@ -115,12 +121,15 @@ class USequence:
 
     def __init__(self, events: Iterable[Iterable[tuple[ItemId, float]]]):
         """The sequence of each event's ``(item, prob)`` pairs, items in any
-        order; refuses whatever ``parse_uncertain_db`` refuses for the same line."""
+        order; refuses whatever ``parse_uncertain_db`` refuses for the same line
+        and anything else that is not such pairs."""
+        if not isinstance(events, Iterable):
+            raise MiningError(f"sequence {events!r} is not a list of events")
         self._fill(map(_checked_event, events))
 
     @classmethod
     def of(cls, events: Iterable[list[tuple[ItemId, float]]]) -> USequence:
-        """The sequence of each event's checked ``(item, prob)`` pairs, items ascending."""
+        """The sequence of each event's checked ``(item, prob)`` pairs, items in any order."""
         seq = object.__new__(cls)
         seq._fill(events)
         return seq
@@ -128,6 +137,7 @@ class USequence:
     def _fill(self, events: Iterable[list[tuple[ItemId, float]]]) -> None:
         index: dict[ItemId, tuple[list[int], list[float]]] = {}
         for k, pairs in enumerate(events):
+            pairs.sort()  # the one place that orders an event's items
             for item, p in pairs:
                 ks, ps = index.setdefault(item, ([], []))
                 if ks and ks[-1] == k:
@@ -187,10 +197,10 @@ class WeightTable:
     entries: dict[ItemId, float]
 
     def __post_init__(self):
-        for item, w in self.entries.items():
-            check_item_token(item)
-            if not 0.0 < w <= 1.0:
-                raise MiningError(f"weight of {item!r} out of (0, 1]: {w}")
+        entries = {
+            check_item_token(it): _checked_unit("weight", it, w) for it, w in self.entries.items()
+        }
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def checked(cls, entries: dict[ItemId, float]) -> WeightTable:

@@ -21,7 +21,7 @@ stacks, so a pattern may be longer than Python's recursion limit.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .model import (
     EPS,
@@ -38,6 +38,10 @@ from .model import (
     meets,
     single,
 )
+
+
+def _snapshot_error(lineno: int, message: str) -> MiningError:
+    return MiningError(f"snapshot line {lineno}: {message}")
 
 
 class TrieNode:
@@ -178,56 +182,58 @@ class USeqTrie:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
-    def from_snapshot(text: str) -> "USeqTrie":
-        """Read ``snapshot`` text back; a line no snapshot could hold is a
-        ``MiningError`` naming it. A ``-`` node must have a child, which in
+    def from_snapshot(text: str | Iterable[tuple[int, str]], error=_snapshot_error) -> USeqTrie:
+        """Read ``snapshot`` text back, or its numbered lines; a line no snapshot
+        could hold raises ``error(lineno, message)``, which names ``snapshot
+        line <lineno>`` by default. A ``-`` node must have a child, which in
         preorder is the next line."""
         trie = USeqTrie()
         stack = [trie.root]
         last = 0  # number of the line that made ``stack[-1]``
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        numbered = enumerate(text.splitlines(), start=1) if isinstance(text, str) else text
+        for lineno, line in numbered:
             if not line.strip():
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise MiningError(f"snapshot line {lineno}: expected 4 fields, got {len(parts)}")
+                raise error(lineno, f"expected 4 fields, got {len(parts)}")
             depth_s, kind, item, wes_s = parts
             try:
                 depth = int(depth_s)
             except ValueError:
-                raise MiningError(f"snapshot line {lineno}: bad depth {depth_s!r}") from None
+                raise error(lineno, f"bad depth {depth_s!r}") from None
             if kind not in ("S", "I"):
-                raise MiningError(f"snapshot line {lineno}: bad edge kind {kind!r}")
+                raise error(lineno, f"bad edge kind {kind!r}")
             if depth < 1 or depth > len(stack):
-                raise MiningError(f"snapshot line {lineno}: depth {depth} breaks preorder")
+                raise error(lineno, f"depth {depth} breaks preorder")
             if depth != len(stack) and stack[-1].wes is None:
-                raise MiningError(f"snapshot line {last}: '-' node has no child")
+                raise error(last, "'-' node has no child")
             if depth == 1 and kind == "I":
-                raise MiningError(f"snapshot line {lineno}: root edges must be S")
+                raise error(lineno, "root edges must be S")
             del stack[depth:]
             parent = stack[-1]
             try:
                 check_item_token(item)
             except MiningError as exc:
-                raise MiningError(f"snapshot line {lineno}: {exc}") from None
+                raise error(lineno, str(exc)) from None
             if kind == "I" and item <= parent.item:
-                raise MiningError(
-                    f"snapshot line {lineno}: I-edge item {item!r} must sort after {parent.item!r}"
-                )
+                raise error(lineno, f"I-edge item {item!r} must sort after {parent.item!r}")
             if (kind, item) in parent.children:
-                raise MiningError(f"snapshot line {lineno}: repeated edge {kind} {item!r}")
+                raise error(lineno, f"repeated edge {kind} {item!r}")
             node = TrieNode(kind, item)
             if wes_s != "-":
                 try:
                     node.wes = float(wes_s)
+                    check_nonnegative("wes", node.wes)
                 except ValueError:
-                    raise MiningError(f"snapshot line {lineno}: bad wes {wes_s!r}") from None
-                check_nonnegative(f"snapshot line {lineno}: wes", node.wes)
+                    raise error(lineno, f"bad wes {wes_s!r}") from None
+                except MiningError as exc:
+                    raise error(lineno, str(exc)) from None
             parent.children[(kind, item)] = node
             stack.append(node)
             last = lineno
         if len(stack) > 1 and stack[-1].wes is None:
-            raise MiningError(f"snapshot line {last}: '-' node has no child")
+            raise error(last, "'-' node has no child")
         return trie
 
 

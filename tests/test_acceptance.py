@@ -393,8 +393,10 @@ def test_criterion_8_candidate_reduction(tmp_path):
 
     bench_csv = str(tmp_path / "bench.csv")
     thresholds = "0.05,0.08,0.12,0.18,0.25"
+    # Best of 3 per bound and threshold: one timing is too noisy to rank
+    # two mines this close (both verify about the same few candidates).
     assert main(["bench", "--db", sub_path, "--weights", w_path,
-                 "--min-sup-list", thresholds, "--bound", "both",
+                 "--min-sup-list", thresholds, "--bound", "both", "--repeat", "3",
                  "--out", bench_csv]) == 0
     with open(bench_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))

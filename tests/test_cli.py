@@ -272,7 +272,7 @@ class TestInc:
         assert main(["inc", "--delta", files["d2"], *flags,
                      "--out-dir", str(tmp_path / "run2")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "snapshot line 1" in err
+        assert err.startswith(f"error: {ck}:3: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -293,7 +293,7 @@ class TestInc:
         assert main(["inc", "--delta", files["d2"], *flags,
                      "--out-dir", str(tmp_path / "run2")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: snapshot line 2: ")
+        assert err.startswith(f"error: {ck}:4: ")
         assert "Traceback" not in err
         assert ck.read_text() == before
 

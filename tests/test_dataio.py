@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,6 +15,7 @@ from useqmine import (
     ScoredPattern,
     SplitSpec,
     WeightTable,
+    draw_fractions,
     format_pattern,
     gen_uncertain,
     parse_pattern,
@@ -394,17 +396,13 @@ class TestSplit:
     def test_ratio_range_deterministic(self, tmp_path):
         rng = random.Random(31)
         db = random_db(rng, max_seqs=12, min_seqs=12, max_events=2)
-        spec = SplitSpec(initial_fraction=0.5, ratio_range=(0.2, 0.6), count=2, seed=4)
-        a = split_db(db, spec)
-        b = split_db(db, spec)
-        assert a == b
-        sizes = [inc.size for inc in a[1]]
-        assert all(1 <= s <= 4 for s in sizes)
-        # The drawn ratios are increment fractions: the same draws given as
-        # fractions split the same way.
+        drawn = draw_fractions((0.2, 0.6), 2, 4)
+        assert drawn == draw_fractions((0.2, 0.6), 2, 4)
+        # The pinned generator's uniforms, scaled into the range.
         rng4 = Xoshiro256StarStar(4)
-        drawn = tuple(0.2 + (0.6 - 0.2) * rng4.uniform() for _ in range(2))
-        assert split_db(db, SplitSpec(initial_fraction=0.5, increment_fractions=drawn)) == a
+        assert drawn == tuple(0.2 + (0.6 - 0.2) * rng4.uniform() for _ in range(2))
+        initial, increments = split_db(db, SplitSpec(0.5, increment_fractions=drawn))
+        assert (initial.size, [inc.size for inc in increments]) == (6, [2, 3])
 
     def test_overflow_rejected(self, sample_db):
         with pytest.raises(MiningError):
@@ -413,17 +411,14 @@ class TestSplit:
     def test_bad_specs(self):
         with pytest.raises(MiningError):
             SplitSpec(initial_fraction=0.0)
-        with pytest.raises(MiningError):
-            SplitSpec(initial_fraction=0.5, ratio_range=(0.2, 0.6), count=2)
-        with pytest.raises(MiningError):
-            SplitSpec(initial_fraction=0.5, ratio_range=(0.0, 0.6), count=2, seed=1)
-        with pytest.raises(MiningError):
-            SplitSpec(
-                initial_fraction=0.5, increment_fractions=(0.5,), ratio_range=(0.1, 0.2)
-            )
-        for unread in ({"count": 2}, {"seed": 4}, {"increment_fractions": (0.5,), "seed": 4}):
-            with pytest.raises(MiningError, match="read only with ratio_range"):
-                SplitSpec(initial_fraction=0.5, **unread)
+        bad = [((0.2, 0.6), 0), ((0.2, 0.6), 2.0), ((0.0, 0.6), 2), ((0.6, 0.2), 2)]
+        for ratio_range, count in bad:
+            with pytest.raises(MiningError):
+                draw_fractions(ratio_range, count, 1)
+        # One mode: increments are given as fractions, drawn ones included.
+        assert [f.name for f in dataclasses.fields(SplitSpec)] == [
+            "initial_fraction", "increment_fractions"
+        ]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_fractions_rejected(self, value):
@@ -431,7 +426,7 @@ class TestSplit:
         with pytest.raises(MiningError):
             SplitSpec(initial_fraction=0.5, increment_fractions=(0.5, value))
         with pytest.raises(MiningError):
-            SplitSpec(initial_fraction=0.5, ratio_range=(0.1, value), count=2, seed=1)
+            draw_fractions((0.1, value), 2, 1)
 
 
 def accepted(token):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from useqmine import (
     MiningError,
     MiningParams,
     MissingWeightError,
+    ParseError,
     UncertainDatabase,
     WamAccumulator,
     fuws,
@@ -545,6 +547,16 @@ class TestCheckpointNumbers:
         with pytest.raises(MiningError, match=f"checkpoint {name} must be finite and not"):
             load_state(str(checkpoint), sample_weights)
 
+    @pytest.mark.parametrize("cut, reason", [
+        (lambda f: f[:5], "checkpoint header needs 9 fields, got 5"),
+        (lambda f: f[:5] + ["x"] + f[6:], "bad checkpoint header: could not convert"),
+    ])
+    def test_malformed_header_names_the_file(self, checkpoint, sample_weights, cut, reason):
+        head, rest = checkpoint.read_text().split("\n", 1)
+        checkpoint.write_text(" ".join(cut(head.split())) + "\n" + rest)
+        with pytest.raises(ParseError, match=re.escape(f"{checkpoint}:1: {reason}")):
+            load_state(str(checkpoint), sample_weights)
+
     @pytest.mark.parametrize(
         "sums, loads",
         [
@@ -584,8 +596,24 @@ class TestCheckpointNumbers:
         assert not lines[at].startswith("[")
         lines[at] = lines[at].rsplit(" ", 1)[0] + " " + wes
         checkpoint.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MiningError, match=f"snapshot line {at - start}: "):
+        with pytest.raises(ParseError, match=re.escape(f"{checkpoint}:{at + 1}: ")):
             load_state(str(checkpoint), sample_weights)
+
+    @pytest.mark.parametrize("section", [incremental.CHECKPOINT_SEQ, incremental.CHECKPOINT_PFS])
+    def test_bad_trie_line_names_the_file_and_its_line(self, checkpoint, sample_weights, section):
+        # The section's last stored pattern, so its file line differs from
+        # its line within the section.
+        lines = checkpoint.read_text().splitlines()
+        end = len(lines) if section == incremental.CHECKPOINT_PFS else lines.index(
+            incremental.CHECKPOINT_PFS)
+        at = max(i for i in range(lines.index(section) + 1, end) if not lines[i].endswith(" -"))
+        assert at - lines.index(section) > 1
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " x"
+        checkpoint.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_state(str(checkpoint), sample_weights)
+        assert (info.value.path, info.value.lineno) == (str(checkpoint), at + 1)
+        assert str(info.value) == f"{checkpoint}:{at + 1}: bad wes 'x'"
 
     @pytest.mark.parametrize(
         "snapshot, needle",
@@ -600,7 +628,9 @@ class TestCheckpointNumbers:
         head = checkpoint.read_text().split("\n", 1)[0]
         checkpoint.write_text(f"{head}\n{incremental.CHECKPOINT_SEQ}\n{snapshot}"
                               f"{incremental.CHECKPOINT_PFS}\n")
-        with pytest.raises(MiningError, match=needle):
+        # The snapshot starts on the file's line 3: the error names the file's line.
+        n, reason = needle.removeprefix("snapshot line ").split(": ", 1)
+        with pytest.raises(ParseError, match=re.escape(f"{checkpoint}:{int(n) + 2}: {reason}")):
             load_state(str(checkpoint), sample_weights)
 
     @pytest.mark.parametrize("body", [

@@ -330,3 +330,91 @@ def test_constructor_and_reader_agree(tmp_path_factory, events):
     built = refused_or_built(lambda: USequence(events))
     read = refused_or_built(lambda: parse_uncertain_db(str(path)).sequences[0])
     assert built == read
+
+
+class TestMalformedFromCode:
+    """Input built in code, not read from a file, is refused with a ``MiningError`` too."""
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [[(1, 0.5)]],  # an item that is not a str
+            [[("a", 0.5, 1)]],  # not a pair
+            [["ab"]],  # a str is not a pair of item and number
+            [[("a", "0.5")]],  # a probability that is not a number
+            [[("a", True)]],  # nor is a bool, which the writer would write as 'True'
+            [5],  # an event that is not iterable
+            5,
+        ],
+    )
+    def test_sequence_refused(self, events):
+        with pytest.raises(MiningError):
+            USequence(events)
+
+    def test_events_view_is_not_pairs(self, sample_db):
+        seq = sample_db.sequences[0]
+        with pytest.raises(MiningError):
+            USequence(seq.events)
+        assert USequence(ev.items for ev in seq.events) == seq
+
+    @pytest.mark.parametrize("entries", [{1: 0.5}, {"a": "0.5"}, {"a": None}, {"a": True}])
+    def test_weight_table_refused(self, entries):
+        with pytest.raises(MiningError):
+            WeightTable(entries)
+
+    def test_numbers_stored_as_floats(self):
+        assert USequence([[("a", 1)]]).index == {"a": ((0,), (1.0,))}
+        assert type(WeightTable({"a": 1}).entries["a"]) is float
+
+
+LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["a", "b", 0.5, 1.0])
+)
+NESTED = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+@st.composite
+def code_objects(draw):
+    """Events of ``(item, prob)`` pairs with at most one part, from the whole
+    sequence down to one number, replaced by an arbitrary nested object."""
+    pair = st.tuples(st.sampled_from("abcd"), PROBS)
+    event = st.lists(pair, min_size=1, max_size=3, unique_by=lambda t: t[0])
+    events = draw(st.lists(event, min_size=1, max_size=3))
+    part = draw(st.sampled_from([None, "sequence", "event", "entry", "item", "prob"]))
+    if part == "sequence":
+        return draw(NESTED)
+    if part is not None:
+        k = draw(st.integers(0, len(events) - 1))
+        j = draw(st.integers(0, len(events[k]) - 1))
+        item, prob = events[k][j]
+        if part == "event":
+            events[k] = draw(NESTED)
+        elif part == "entry":
+            events[k][j] = draw(NESTED)
+        else:
+            events[k][j] = (draw(NESTED), prob) if part == "item" else (item, draw(NESTED))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=code_objects())
+@example(obj=[[("b", 0.5), ("a", 1)], [("a", 0.25)]])
+@example(obj=[[("a", 0.5)], [("a", 0.5, 1)]])
+@example(obj={"ab": [("a", 0.5)]})
+def test_any_nested_object_builds_a_sequence_or_is_refused(tmp_path_factory, obj):
+    # Whatever the object, the constructor builds a sequence the writer and
+    # reader carry unchanged, or raises MiningError. Sorting unchecked
+    # entries could raise TypeError, so every refusal comes before the sort.
+    try:
+        seq = USequence(obj)
+    except MiningError:
+        return
+    path = tmp_path_factory.getbasetemp() / "nested.txt"
+    write_uncertain_db(str(path), UncertainDatabase((seq,)))
+    assert parse_uncertain_db(str(path)).sequences == (seq,)
