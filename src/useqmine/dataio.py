@@ -110,6 +110,12 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.01, x))
 
 
+def _check_seed(seed: int) -> None:
+    """A seed of the pinned generator: an ``int``, not a ``bool``, in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise MiningError(f"seed must be an int that fits in 64 bits: {seed!r}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
@@ -119,8 +125,7 @@ class GenConfig:
     weight_std: float = 0.125
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise MiningError(f"seed must fit in 64 bits: {self.seed}")
+        _check_seed(self.seed)
         for name in ("prob_mean", "weight_mean"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -139,18 +144,29 @@ class SplitSpec:
 
     def __post_init__(self):
         check_positive("initial_fraction", self.initial_fraction, 1.0)
-        for f in self.increment_fractions:
+        try:
+            fractions = tuple(self.increment_fractions)
+        except TypeError:
+            raise MiningError(f"increment fractions {self.increment_fractions!r} "
+                              "are not a sequence of numbers") from None
+        for f in fractions:
             check_positive("increment fraction", f)
+        object.__setattr__(self, "increment_fractions", fractions)
 
 
 def draw_fractions(ratio_range: tuple[float, float], count: int, seed: int) -> tuple[float, ...]:
     """``count`` increment fractions drawn uniformly from ``ratio_range`` by
     the pinned generator seeded with ``seed``."""
-    lo, hi = ratio_range
-    if not 0.0 < lo <= hi < math.inf:
-        raise MiningError(f"bad ratio range: {ratio_range}")
+    try:
+        lo, hi = ratio_range
+        ok = 0.0 < lo <= hi < math.inf
+    except (TypeError, ValueError):  # not a pair, or not numbers
+        ok = False
+    if not ok:
+        raise MiningError(f"bad ratio range: {ratio_range!r}")
     if not isinstance(count, int) or count < 1:
         raise MiningError(f"count must be a positive int: {count!r}")
+    _check_seed(seed)
     rng = Xoshiro256StarStar(seed)
     return tuple(lo + (hi - lo) * rng.uniform() for _ in range(count))
 
@@ -187,14 +203,26 @@ def _events(tokens: list[str]) -> list[list[str]]:
 
 
 def parse_uncertain_db(path: str) -> UncertainDatabase:
-    """Read an uncertain sequence file. Each token's shape, number, item (once
-    per distinct token, which its occurrences then share) and probability
-    range are checked in turn, then its event's repeated items."""
+    """Read an uncertain sequence file. A line's grammar error comes first;
+    then, event by event, each token's shape, number, item (once per distinct
+    token, which its occurrences then share) and probability range are
+    checked in turn, then the event's repeated items.
+
+    One walk of a line's tokens feeds ``_fill``, behind a check that ``-2``
+    ends the line once, right after a ``-1``; the walk refuses an empty event.
+    On any refusal ``_events``, the one grammar, reads the line again, so a
+    grammar error wins."""
     seen: dict[str, ItemId] = {}
 
-    def event(raw: list[str]) -> list[tuple[ItemId, float]]:
-        pairs = []
-        for tok in raw:
+    def events(tokens: list[str]) -> Iterator[list[tuple[ItemId, float]]]:
+        pairs: list[tuple[ItemId, float]] = []
+        for tok in tokens[:-1]:
+            if tok == "-1":
+                if not pairs:
+                    raise MiningError("empty event")
+                yield pairs
+                pairs = []
+                continue
             item, sep, prob_s = tok.partition(":")
             if not sep or not item or not prob_s:
                 raise MiningError(f"malformed token {tok!r}, expected item:prob")
@@ -206,7 +234,6 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
             if not 0.0 < prob <= 1.0:
                 raise MiningError(f"probability of {item!r} out of (0, 1]: {prob}")
             pairs.append((item, prob))
-        return pairs
 
     sequences: list[USequence] = []
     for lineno, line in _lines(path):
@@ -214,8 +241,14 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
         if not tokens:
             continue
         try:
-            sequences.append(USequence.of(map(event, _events(tokens))))
+            if tokens[-2:] != ["-1", "-2"] or tokens.count("-2") != 1:
+                _events(tokens)  # raises this line's grammar error
+            sequences.append(USequence.of(events(tokens)))
         except MiningError as exc:
+            try:
+                _events(tokens)
+            except MiningError as grammar:
+                exc = grammar
             raise ParseError(path, lineno, str(exc)) from None
     return UncertainDatabase(tuple(sequences))
 

@@ -73,6 +73,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .model import (
     EPS,
@@ -121,8 +122,7 @@ PreprocessedDB = tuple[PSequence, ...]
 Entry = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ProjectedDB:
+class ProjectedDB(NamedTuple):
     entries: Sequence[Entry]
     # Last (max) item of the open final itemset; ascending itemsets make it
     # the only ordering constraint an i-extension has to respect.
@@ -160,6 +160,7 @@ class MineStats:
     candidates: int = 0
     false_positives: int = 0
     ruled_out: int = 0  # false positives settled by their own bound, with no scan
+    known: int = 0  # candidates a ``known`` trie stores, left unverified
     survivors: int = 0
     grow_ms: float = 0.0
     verify_ms: float = 0.0
@@ -317,10 +318,15 @@ def mine_trie(
     wgt_fct: float,
     bound: Bound = "cap",
     trace: list[BoundRecord] | None = None,
+    known: Sequence[USeqTrie] = (),
 ) -> tuple[USeqTrie, MineStats]:
     """Full pipeline. Returns the verified trie and run statistics.
 
     Ruled-out candidates never reach the scan; ``false_positives`` counts them.
+    A candidate that any ``known`` trie stores, and no bound ruled out, is
+    left unverified too, as a prefix-only node: the result stores none of
+    them, ``known`` counts them and ``survivors`` leaves them out. Every
+    other pattern gets the wes it gets without ``known``.
 
     ``min_sup`` is the effective support fraction: callers wanting a
     semi-frequent buffer pass min_sup * mu. It has no upper bound, because an
@@ -339,13 +345,34 @@ def mine_trie(
     _grow(pdb, weights, min_wes, bound, trie, stats, trace)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
+    if known:
+        stats.known = _unstore_known(trie, known)
     # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
-    trie.prune_below(-math.inf)  # the ruled-out prefixes left childless
+    trie.prune_below(-math.inf)  # the unverified prefixes left childless
     sup_calc(trie, db, weights)
     stats.false_positives = stats.ruled_out + trie.prune_below(min_wes)
-    stats.survivors = stats.candidates - stats.false_positives
+    stats.survivors = stats.candidates - stats.false_positives - stats.known
     stats.verify_ms = (time.perf_counter() - t1) * 1000.0
     return trie, stats
+
+
+def _unstore_known(trie: USeqTrie, known: Sequence[USeqTrie]) -> int:
+    """Make each pattern ``trie`` stores that a ``known`` trie stores too a
+    prefix-only node, walking the tries side by side; returns how many."""
+    count = 0
+    stack = [(trie.root, [t.root for t in known])]
+    while stack:
+        node, others = stack.pop()
+        for key, child in node.children.items():
+            matched = [o for o in (other.children.get(key) for other in others) if o is not None]
+            if not matched:
+                continue
+            if child.wes is not None and any(o.wes is not None for o in matched):
+                child.wes = None
+                count += 1
+            if child.children:
+                stack.append((child, matched))
+    return count
 
 
 def _grow(
@@ -404,9 +431,16 @@ def _grow(
                     break
         length += 1  # the children's pattern length
         slack = 1.0 + 4 * (len(pdb) + length + 2) * 2.0**-53  # the module docstring's margin
+        # What the children inherit, filled as they are generated: the
+        # S-items generated here, and for an I-child also the I-items. The
+        # root level is bounded on the full index; its children read an index
+        # pruned to the items they inherit.
+        alive_s: set[ItemId] = set()
+        alive_i: set[ItemId] = set()
         frames = []
         for kind, acc in slots.items():
             stats.bounded += len(acc)
+            inherit = None if node is root else alive_i if kind == "I" else alive_s
             for item in sorted(acc):
                 prob_sum, prob_max, entries = acc[item]
                 sup = maxpr * prob_sum
@@ -425,19 +459,15 @@ def _grow(
                     if sup * (cw / length) * slack < floor:
                         child.wes = None  # ruled out: a prefix only
                         stats.ruled_out += 1
+                    alive_i.add(item)
+                    if kind == "S":
+                        alive_s.add(item)
                     frames.append((entries, proj.open_item, child, maxpr * prob_max,
-                                   mxw if mxw > w else w, cw, length, pat))
+                                   mxw if mxw > w else w, cw, length, pat, inherit, wgt_cap))
         stats.candidates += len(frames)
-        # What the children inherit: the S-items generated here, and for an
-        # I-child also the I-items.
-        alive_s = {f[2].item for f in frames if f[2].kind == "S"}
-        alive_i = alive_s | {f[2].item for f in frames if f[2].kind == "I"}
         if node is root:
-            # The root level is bounded on the full index. Its children read
-            # an index that holds only the items they inherit.
             prune_index(pdb, alive_s)
-            alive_s = alive_i = None
-        stack.extend(f + (alive_i if f[2].kind == "I" else alive_s, wgt_cap) for f in reversed(frames))
+        stack.extend(reversed(frames))
 
 
 def fuws(

@@ -116,16 +116,17 @@ def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[S
     """Fold one increment, keeping the promising buffer; returns the frequent set.
 
     The local mine runs first and rejects an unweighted item before any state
-    changes. A tracked pattern keeps its longer history; a newcomer enters
-    with its support in ``delta`` alone.
+    changes. A tracked pattern keeps its longer history, read from the fold,
+    so the local mine verifies only the newcomers; each enters with its
+    support in ``delta`` alone.
     """
     p = state.params
-    lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
-    th = _fold(state, delta)
     seq, pfs = state.seq_trie, state.pfs_trie
+    lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct,
+                                known=(seq, pfs))
+    th = _fold(state, delta)
     placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
-    placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()
-               if pat not in seq and pat not in pfs]
+    placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()]
     for pat, wes, trie in placed:
         home = seq if meets(wes, th.min_wes_prime) else pfs if meets(wes, local.min_wes) else None
         if home is not trie:

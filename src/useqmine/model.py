@@ -7,8 +7,9 @@ immutable after construction except the running ``WamAccumulator``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 # Absolute tolerance used by every threshold classification in the package.
 # Accumulation order must never flip a frequent/infrequent decision.
@@ -37,8 +38,11 @@ def meets(value: float, threshold: float) -> bool:
 
 
 def check_positive(name: str, value: float, upper: float | None = None) -> None:
-    """The one check on a mining number: finite, above 0 and, when ``upper``
-    is given, at most ``upper``. nan fails every comparison, so it is rejected."""
+    """The one check on a mining number: an ``int`` or ``float`` but not a
+    ``bool``, finite, above 0 and, when ``upper`` is given, at most ``upper``.
+    nan fails every comparison, so it is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MiningError(f"{name} is not a number: {value!r}")
     if not 0.0 < value < math.inf or (upper is not None and value > upper):
         limit = "inf)" if upper is None else f"{upper}]"
         raise MiningError(f"{name} must be finite and in (0, {limit}: {value}")
@@ -135,18 +139,27 @@ class USequence:
         return seq
 
     def _fill(self, events: Iterable[list[tuple[ItemId, float]]]) -> None:
-        index: dict[ItemId, tuple[list[int], list[float]]] = {}
+        # A first occurrence is stored as its final pair; an item seen again
+        # grows a list pair in ``more``, frozen into the index at the end.
+        index: dict[ItemId, Occurrences] = {}
+        more: dict[ItemId, tuple[list[int], list[float]]] = {}
         for k, pairs in enumerate(events):
             pairs.sort()  # the one place that orders an event's items
             for item, p in pairs:
-                ks, ps = index.setdefault(item, ([], []))
-                if ks and ks[-1] == k:
+                occ = index.get(item)
+                if occ is None:
+                    index[item] = ((k,), (p,))
+                    continue
+                ks, ps = more.get(item) or more.setdefault(item, (list(occ[0]), list(occ[1])))
+                if ks[-1] == k:
                     raise MiningError(f"duplicate item {item!r} in event")
                 ks.append(k)
                 ps.append(p)
         if not index:  # no event is empty, so an empty index means no event
             raise MiningError("sequence has no events")
-        object.__setattr__(self, "index", {it: (tuple(ks), tuple(ps)) for it, (ks, ps) in index.items()})
+        for item, (ks, ps) in more.items():  # an existing key keeps its place
+            index[item] = (tuple(ks), tuple(ps))
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "n_events", k + 1)
 
     def event_maps(self) -> list[dict[ItemId, float]]:
@@ -197,6 +210,8 @@ class WeightTable:
     entries: dict[ItemId, float]
 
     def __post_init__(self):
+        if not isinstance(self.entries, Mapping):
+            raise MiningError(f"weights {self.entries!r} are not a mapping of item to weight")
         entries = {
             check_item_token(it): _checked_unit("weight", it, w) for it, w in self.entries.items()
         }

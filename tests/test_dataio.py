@@ -88,6 +88,16 @@ class TestParseDb:
             ("a:0.5 -2 b:0.2 -1 -2", "-2 before end"),
             ("-1:0.5 -1 -2", "invalid item token '-1'"),
             ("x)(y:0.5 -1 -2", "item token 'x)(y' must not contain"),
+            # A line with several errors: the grammar's comes first, then
+            # event by event. "-2" alone and "a:0.5 -1 -1 -2" are above.
+            ("a:x -1 b:0.5 -2", "not closed"),
+            ("a0.5 -1 -1 -2", "empty event"),
+            ("a:0.5 a:0.6 -1 b:0.5 -1 -2 -2", "-2 before end"),
+            ("a:x -1 b:0.5 b:0.6 -1 -2", "bad probability in 'a:x'"),
+            ("-1 -2", "empty event"),
+            ("-2 -2", "-2 before end"),
+            ("a:0.5 -1 -1 b:x -1 -2", "empty event"),
+            ("a:0.5 -1 b:0.5 -1 -1 -2", "empty event"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, line, needle):
@@ -270,6 +280,11 @@ class TestGen:
         with pytest.raises(MiningError):
             GenConfig(seed=-1)
 
+    @pytest.mark.parametrize("seed", [4.0, True, "1", 2**64])
+    def test_seed_must_be_a_64_bit_int(self, seed):
+        with pytest.raises(MiningError, match="seed must be an int"):
+            GenConfig(seed=seed)
+
     def test_written_file_is_pinned(self, tmp_path):
         # Digest recorded when sequences were still stored as events.
         src, out = tmp_path / "in.txt", tmp_path / "out.txt"
@@ -341,6 +356,55 @@ def check_parses_or_names_line(read, path, lines):
 def test_uncertain_reader_parses_or_names_the_line(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "uncertain.txt"
     check_parses_or_names_line(parse_uncertain_db, path, lines)
+
+
+def two_pass_line(tokens):
+    """One line as the reader read it before its one-pass walk: ``_events``
+    splits the whole line first, then each event's tokens are checked and
+    its items indexed. Returns the index's items in order and the event
+    count, or the message of the error that wins."""
+    index = {}
+    try:
+        for k, raw in enumerate(dataio._events(tokens)):
+            pairs = []
+            for tok in raw:
+                item, sep, prob_s = tok.partition(":")
+                if not sep or not item or not prob_s:
+                    return f"malformed token {tok!r}, expected item:prob"
+                try:
+                    prob = float(prob_s)
+                except ValueError:
+                    return f"bad probability in {tok!r}"
+                model.check_item_token(item)
+                if not 0.0 < prob <= 1.0:
+                    return f"probability of {item!r} out of (0, 1]: {prob}"
+                pairs.append((item, prob))
+            for item, p in sorted(pairs):
+                ks, ps = index.setdefault(item, ([], []))
+                if ks and ks[-1] == k:
+                    return f"duplicate item {item!r} in event"
+                ks.append(k)
+                ps.append(p)
+    except MiningError as exc:
+        return str(exc)
+    return [(it, (tuple(ks), tuple(ps))) for it, (ks, ps) in index.items()], k + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=lines_of(UNCERTAIN_TOKENS))
+def test_one_pass_reader_matches_the_two_pass_reader(tmp_path_factory, lines):
+    # Each line on its own: the same message, or the same index in the same order.
+    path = tmp_path_factory.getbasetemp() / "one-pass.txt"
+    for line in lines:
+        if not line.split():
+            continue
+        path.write_text(line + "\n")
+        try:
+            seq = parse_uncertain_db(str(path)).sequences[0]
+            got = list(seq.index.items()), seq.n_events
+        except ParseError as exc:
+            got = str(exc).removeprefix(f"{path}:1: ")
+        assert got == two_pass_line(line.split())
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,6 +483,30 @@ class TestSplit:
         assert [f.name for f in dataclasses.fields(SplitSpec)] == [
             "initial_fraction", "increment_fractions"
         ]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: SplitSpec(0.5, 0.5), id="fractions-not-a-sequence"),
+            pytest.param(lambda: SplitSpec(0.5, ("x",)), id="fraction-not-a-number"),
+            pytest.param(lambda: SplitSpec(0.5, (True,)), id="fraction-a-bool"),
+            pytest.param(lambda: SplitSpec("0.5"), id="initial-fraction-a-str"),
+            pytest.param(lambda: draw_fractions((0.2, 0.6), 2, 4.0), id="seed-a-float"),
+            pytest.param(lambda: draw_fractions((0.2, 0.6), 2, True), id="seed-a-bool"),
+            pytest.param(lambda: draw_fractions((0.2, 0.6), 2, -1), id="seed-negative"),
+            pytest.param(lambda: draw_fractions((0.2, 0.6), 2, 2**64), id="seed-past-64-bits"),
+            pytest.param(lambda: draw_fractions(0.5, 2, 1), id="range-not-a-pair"),
+            pytest.param(lambda: draw_fractions(("a", "b"), 2, 1), id="range-not-numbers"),
+        ],
+    )
+    def test_wrong_types_refused(self, build):
+        with pytest.raises(MiningError):
+            build()
+
+    def test_fractions_stored_as_a_tuple(self):
+        spec = SplitSpec(0.5, [0.2, 0.3])
+        assert spec.increment_fractions == (0.2, 0.3)
+        assert draw_fractions((0.2, 0.6), 1, 2**64 - 1)  # the largest seed is accepted
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_fractions_rejected(self, value):

@@ -452,6 +452,34 @@ def _steps(pat):
     return tuple(("I" if k else "S", it) for ev in pat.events for k, it in enumerate(ev))
 
 
+@pytest.mark.parametrize("bound", ["cap", "top"])
+def test_nodes_bound_only_what_their_parent_generated(bound):
+    # Below the root a node's records extend it only by its parent's
+    # generated S-items, plus its parent's generated I-items when the node
+    # is an I-extension; the root's children read the root's S-items.
+    rng = random.Random(4041)
+    checked = 0
+    for _ in range(100):
+        db = random_db(rng, max_seqs=10)
+        wt = random_weights(rng)
+        trace = []
+        mine_trie(db, wt, rng.choice([0.1, 0.2, 0.3]), 1.0, bound=bound, trace=trace)
+        generated = {}
+        for rec in trace:
+            if rec.generated:
+                *node, step = _steps(rec.pattern)
+                generated.setdefault(tuple(node), set()).add(step)
+        for rec in trace:
+            *node, (_, item) = _steps(rec.pattern)
+            if not node:
+                continue  # the root level is bounded on the full index
+            *parent, (node_kind, _) = node
+            inherited = generated[tuple(parent)]
+            assert ("S", item) in inherited or node_kind == "I" and ("I", item) in inherited
+            checked += 1
+    assert checked
+
+
 class TestFuws:
     def test_golden_result_set(self, sample_db, sample_weights):
         got = patterns_by_key(fuws(sample_db, sample_weights, 0.2 * 0.7, 1.0))
@@ -519,3 +547,36 @@ class TestFuws:
             assert patterns_by_key(cap_trie.collect(cap_stats.min_wes)) == pytest.approx(
                 patterns_by_key(top_trie.collect(top_stats.min_wes))
             )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    db=databases(),
+    other=databases(),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    bound=st.sampled_from(["cap", "top"]),
+    data=st.data(),
+)
+def test_known_patterns_are_left_unverified(db, other, weights, min_sup, bound, data):
+    # One known trie holds some of the mine's own patterns, the other a mine
+    # of another database; inserting a pattern leaves its prefixes unstored.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    full_trie, full = mine_trie(db, wt, min_sup, 1.0, bound=bound)
+    want = dict(full_trie.patterns())
+    mine_own = USeqTrie()
+    if want:
+        for pat in data.draw(st.lists(st.sampled_from(list(want)), unique=True)):
+            mine_own.insert(pat, want[pat])
+    mine_other, _ = mine_trie(other, wt, min_sup, 1.0)
+    known = {pat for t in (mine_own, mine_other) for pat, _ in t.patterns()}
+
+    trie, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound, known=(mine_own, mine_other))
+    got = dict(trie.patterns())
+    assert not set(got) & known
+    # Every other pattern keeps a bit-identical wes.
+    assert got == {pat: wes for pat, wes in want.items() if pat not in known}
+    assert (stats.candidates, stats.ruled_out) == (full.candidates, full.ruled_out)
+    assert stats.survivors == len(got)
+    assert stats.known + stats.false_positives + stats.survivors == stats.candidates
+    assert full.known == 0

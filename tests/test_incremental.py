@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +31,13 @@ from useqmine.fuws import mine_trie
 from useqmine.trie import sup_calc
 
 from conftest import (
+    DB_ITEMS,
     DB_TEXT,
     DELTA1_TEXT,
     WEIGHTS_TEXT,
     P,
     check_reads_or_refuses,
+    databases,
     db_from_text,
     patterns_by_key,
     random_db,
@@ -396,6 +400,67 @@ def test_placement_rule_matches_three_loops():
             moves["admitted"] += len((seq1 | pfs1) - (seq0 | pfs0))
     # The streams exercise every kind of move the rule makes.
     assert all(moves.values()), moves
+
+
+def full_local_mine_step(state, delta):
+    """``uwsincplus_step`` with a local mine that verifies every candidate,
+    the tracked ones too, and a placement that skips what is tracked; the
+    reference the ``known=`` local mine must match."""
+    p = state.params
+    lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
+    th = incremental._fold(state, delta)
+    seq, pfs = state.seq_trie, state.pfs_trie
+    placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
+    placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()
+               if pat not in seq and pat not in pfs]
+    for pat, wes, trie in placed:
+        home = seq if meets(wes, th.min_wes_prime) else pfs if meets(wes, local.min_wes) else None
+        if home is not trie:
+            if trie is not None:
+                trie.remove(pat)
+            if home is not None:
+                home.insert(pat, wes)
+    return seq.collect(th.min_wes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    init=databases(),
+    deltas=st.lists(databases(), min_size=1, max_size=3),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.4]),
+    mu=st.sampled_from([0.5, 0.8, 1.0]),
+    lwes_factor=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_step_matches_a_full_local_mine(init, deltas, weights, min_sup, mu, lwes_factor):
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    params = MiningParams(min_sup, 1.0, mu, lwes_factor)
+    got, want = init_mining(init, wt, params), init_mining(init, wt, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        got_ck, want_ck = os.path.join(tmp, "got.ck"), os.path.join(tmp, "want.ck")
+        for delta in deltas:
+            assert uwsincplus_step(got, delta) == full_local_mine_step(want, delta)
+            save_state(got, got_ck)
+            save_state(want, want_ck)
+            with open(got_ck, "rb") as a, open(want_ck, "rb") as b:
+                assert a.read() == b.read()
+
+
+def test_local_mine_leaves_tracked_patterns_unverified(
+    sample_db, sample_weights, delta1, local_mines
+):
+    state = init_mining(sample_db, sample_weights, PARAMS)
+    tracked = set(dict(state.seq_trie.patterns()))
+    uwsincplus_step(state, delta1)
+    local = local_mines[-1]
+    p = state.params
+    full_trie, full = mine_trie(delta1, sample_weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
+    found_tracked = set(dict(full_trie.patterns())) & tracked
+    # (a) and (c), tracked since init, are locally frequent in delta1.
+    assert {P("(a)"), P("(c)")} <= found_tracked
+    assert local.known >= len(found_tracked)
+    assert local.candidates == full.candidates
+    assert local.survivors == full.survivors - len(found_tracked)
 
 
 @pytest.mark.parametrize("step", [uwsinc_step, uwsincplus_step])

@@ -357,7 +357,9 @@ class TestMalformedFromCode:
             USequence(seq.events)
         assert USequence(ev.items for ev in seq.events) == seq
 
-    @pytest.mark.parametrize("entries", [{1: 0.5}, {"a": "0.5"}, {"a": None}, {"a": True}])
+    @pytest.mark.parametrize(
+        "entries", [{1: 0.5}, {"a": "0.5"}, {"a": None}, {"a": True}, [("a", 0.5)]]
+    )
     def test_weight_table_refused(self, entries):
         with pytest.raises(MiningError):
             WeightTable(entries)
