@@ -50,6 +50,27 @@ sum (L roundings per term, n - 1 sums, in any order) at most
 in binary, covers their ratio, about 1 + 2(n + L)u, and its own product's
 rounding, so a ruled-out candidate misses the floor when verified too.
 
+``bound="exact"`` carries exact embedding rows through growth, as
+``sup_calc`` builds them per sequence: the ascending events where the
+pattern can end and the best embedding probability ending at each. A slot
+its cap bound generates gets its rows (``_extend_rows``), and es, the sum of
+their maxima, is the extension's expected support; its wes comes out bit for
+bit as the scan's, so an exact mine verifies nothing and rules nothing out.
+Each row's first event, the earliest where the pattern ends and never before
+``project``'s anchor, anchors the extension's projection entry, so an exact
+frame is never projected. The extension is generated when ``es * wgt_cap *
+slack`` meets the floor. A descendant D of length L has, per sequence, a
+best value no larger than the row's maximum, in floats too, as each of its
+values is a row value times probabilities of at most 1, and a real mean item
+weight of at most ``wgt_cap``. Its float wes (L - 1 sums of weights, one
+division, one product per term and n - 1 sums) is at most (1 + u)**(n + L)
+times ``wgt_cap`` times the real sum of row maxima, and the float test value
+(n - 1 sums, two products) at least (1 - u)**(n + 1) times its real value.
+An embedding maps each item of D to its own occurrence, so L is at most M,
+the most items one sequence holds, and ``slack = 1 + 4(n + M + 2)u`` covers
+the ratio, about 1 + (2n + L + 1)u: the test never drops an extension whose
+subtree holds a pattern the scan would store.
+
 Below the root, a node bounds only the items its parent generated: the
 parent's generated S-items, plus its generated I-items when the node is an
 I-extension, as PrefixSpan drops infrequent items from every projected
@@ -93,7 +114,7 @@ from .model import (
 )
 from .trie import USeqTrie, sup_calc
 
-Bound = str  # "cap" (tight, default) or "top" (classic, for benchmarks)
+Bound = str  # "cap" (tight, default), "top" (classic, for benchmarks) or "exact"
 
 
 @dataclass(slots=True)
@@ -138,7 +159,9 @@ class BoundRecord:
     S-items, plus its generated I-items when the node is an I-extension.
     ``maxpr`` is the extension's maxpr: its prefix's maxpr (1.0 at the root)
     times the item's peak remaining probability over the projection, the
-    factor its children's bounds start from.
+    factor its children's bounds start from. ``exp_sup`` is the
+    extension's exact expected support where ``exact`` built its rows (for
+    each extension its cap bound generates), and None otherwise.
     """
 
     pattern: Pattern
@@ -148,6 +171,7 @@ class BoundRecord:
     exp_sup_top: float
     wgt_cap: float
     generated: bool
+    exp_sup: float | None = None
 
 
 @dataclass
@@ -159,7 +183,7 @@ class MineStats:
     bounded: int = 0  # (kind, item) slots bounded: all at the root, inherited ones below
     candidates: int = 0
     false_positives: int = 0
-    ruled_out: int = 0  # false positives settled by their own bound, with no scan
+    ruled_out: int = 0  # false positives settled by their own bound, with no scan; 0 under exact
     known: int = 0  # candidates a ``known`` trie stores, left unverified
     survivors: int = 0
     grow_ms: float = 0.0
@@ -323,8 +347,10 @@ def mine_trie(
     """Full pipeline. Returns the verified trie and run statistics.
 
     Ruled-out candidates never reach the scan; ``false_positives`` counts them.
+    Under ``bound="exact"`` growth gives every candidate its wes, so no scan
+    runs and no candidate is ruled out; it stores what ``"cap"`` stores.
     A candidate that any ``known`` trie stores, and no bound ruled out, is
-    left unverified too, as a prefix-only node: the result stores none of
+    left unstored too, as a prefix-only node: the result stores none of
     them, ``known`` counts them and ``survivors`` leaves them out. Every
     other pattern gets the wes it gets without ``known``.
 
@@ -334,7 +360,7 @@ def mine_trie(
     """
     check_positive("min_sup", min_sup)
     check_positive("wgt_fct", wgt_fct)
-    if bound not in ("cap", "top"):
+    if bound not in ("cap", "top", "exact"):
         raise MiningError(f"unknown bound {bound!r}")
     stats = MineStats(db_size=db.size)
     t0 = time.perf_counter()
@@ -342,14 +368,15 @@ def mine_trie(
     min_wes = Thresholds.compute(min_sup, db.size, stats.wam, wgt_fct, 1.0).min_wes
     stats.min_wes = min_wes
     trie = USeqTrie()
-    _grow(pdb, weights, min_wes, bound, trie, stats, trace)
+    _grow(pdb, db.sequences, weights, min_wes, bound, trie, stats, trace)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
     if known:
         stats.known = _unstore_known(trie, known)
-    # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
-    trie.prune_below(-math.inf)  # the unverified prefixes left childless
-    sup_calc(trie, db, weights)
+    if bound != "exact":
+        # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
+        trie.prune_below(-math.inf)  # the unverified prefixes left childless
+        sup_calc(trie, db, weights)
     stats.false_positives = stats.ruled_out + trie.prune_below(min_wes)
     stats.survivors = stats.candidates - stats.false_positives - stats.known
     stats.verify_ms = (time.perf_counter() - t1) * 1000.0
@@ -377,6 +404,7 @@ def _unstore_known(trie: USeqTrie, known: Sequence[USeqTrie]) -> int:
 
 def _grow(
     pdb: PreprocessedDB,
+    seqs: Sequence[USequence],
     weights: WeightTable,
     min_wes: float,
     bound: Bound,
@@ -387,30 +415,37 @@ def _grow(
     """Grow every candidate into ``trie``, depth-first from the root.
 
     A frame on the stack is one generated extension waiting to be grown: its
-    slot's entries, its parent's ``open_item``, its trie node (which holds
-    its item and kind), its maxpr, largest item weight, item weight sum and
-    length, its pattern (only with a trace list), the items it inherits (see
-    the module docstring) and its parent's ``wgt_cap``. The root frame's node
-    is the trie's root. Popping any other frame projects it, so projection
-    happens only when a subtree is grown. Every frame then bounds each slot
-    ``determine`` finds among the inherited items, I-items then S-items, each
-    in item order. Each generated one is stored as a child of the frame's
-    node, as a prefix only when its own bound rules it out, and becomes a
-    frame either way; the frames go on the stack in reverse, so the first is
-    grown first. The stack is explicit, so a long pattern cannot hit Python's
-    recursion limit. ``preprocess`` has looked up every item's weight, so the
-    weight table is read directly.
+    entries and their ``open_item``, its trie node (which holds its item and
+    kind), its maxpr, largest item weight, item weight sum and length, its
+    pattern (only with a trace list), the items it inherits (see the module
+    docstring), its parent's ``wgt_cap`` and, under ``exact``, its rows. The
+    root frame's node is the trie's root. Under ``cap`` and ``top`` a frame
+    holds its slot's entries, and popping it projects them, so projection
+    happens only when a subtree is grown; an ``exact`` frame holds entries
+    its rows already anchored (``_extend_rows``). Every frame then bounds
+    each slot ``determine`` finds among the inherited items, I-items then
+    S-items, each in item order. Each generated one is stored as a child of
+    the frame's node and becomes a frame: under ``exact`` with its wes,
+    otherwise as a prefix only when its own bound rules it out. The frames
+    go on the stack in reverse, so the first is grown first. The stack is
+    explicit, so a long pattern cannot hit Python's recursion limit.
+    ``preprocess`` has looked up every item's weight, so the weight table is
+    read directly.
     """
     weight = weights.entries
     root = trie.root
-    cap_bound = bound == "cap"
+    exact = bound == "exact"
+    cap_bound = bound != "top"
     floor = min_wes - EPS  # what ``meets`` compares with
+    if exact:  # the module docstring's generation slack
+        most = max((sum(len(ks) for ks, _ in s.index.values()) for s in seqs), default=0)
+        exact_slack = 1.0 + 4 * (len(pdb) + most + 2) * 2.0**-53
     # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
-    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0)]
+    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0, None)]
     while stack:
-        entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit = stack.pop()
+        entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit, rows = stack.pop()
         proj = ProjectedDB(entries, open_item)
-        if node is not root:
+        if node is not root and not exact:
             proj = project(pdb, proj, node.item, node.kind)
         if not proj.entries:
             continue
@@ -446,28 +481,111 @@ def _grow(
                 sup = maxpr * prob_sum
                 est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
                 generated = est >= floor
+                es = None
+                if generated:
+                    w = weight[item]
+                    cw = wsum + w
+                    if exact:
+                        es, wes, anchors, child_rows = _extend_rows(
+                            pdb, seqs, node.item, rows, kind, item, entries, cw / length
+                        )
+                        generated = es * wgt_cap * exact_slack >= floor
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
                     top = maxpr * prob_max * len(entries)
                     trace.append(BoundRecord(pat, kind, maxpr * prob_max, sup, top, wgt_cap,
-                                             generated))
+                                             generated, es))
                 if generated:
-                    w = weight[item]
-                    cw = wsum + w
                     child = trie.add_child(node, kind, item)
-                    if sup * (cw / length) * slack < floor:
-                        child.wes = None  # ruled out: a prefix only
-                        stats.ruled_out += 1
+                    if exact:
+                        child.wes = wes
+                        entries, child_open = anchors, item
+                    else:
+                        child_rows, child_open = None, proj.open_item
+                        if sup * (cw / length) * slack < floor:
+                            child.wes = None  # ruled out: a prefix only
+                            stats.ruled_out += 1
                     alive_i.add(item)
                     if kind == "S":
                         alive_s.add(item)
-                    frames.append((entries, proj.open_item, child, maxpr * prob_max,
-                                   mxw if mxw > w else w, cw, length, pat, inherit, wgt_cap))
+                    frames.append((entries, child_open, child, maxpr * prob_max,
+                                   mxw if mxw > w else w, cw, length, pat, inherit, wgt_cap,
+                                   child_rows))
         stats.candidates += len(frames)
         if node is root:
             prune_index(pdb, alive_s)
         stack.extend(reversed(frames))
+
+
+def _extend_rows(
+    pdb: PreprocessedDB,
+    seqs: Sequence[USequence],
+    parent: ItemId | None,
+    rows: dict[int, tuple] | None,
+    kind: ExtKind,
+    item: ItemId,
+    entries: Sequence[Entry],
+    mean: float,
+) -> tuple[float, float, list[Entry], dict[int, tuple] | None]:
+    """The exact rows of a pattern extended by ``(kind, item)`` over its
+    slot's ``entries``: returns the extension's expected support, its wes
+    (its mean item weight ``mean``), its projection entries and its rows.
+
+    A row is ``(positions, values)`` for one sequence: the ascending events
+    where the pattern can end and the best embedding probability ending at
+    each. ``rows`` maps each sequence of the pattern's projection to its
+    row. It is None for a root child, whose rows are the raw stored index of
+    its item, ``parent``. A child of the root itself (``parent`` None) takes
+    its raw index as its rows, whose maximum is the rewritten index's first
+    value, so nothing is built. Below the root the step is ``sup_calc``'s: an
+    S-step scores each occurrence of ``item`` by the running max of the
+    row's values at earlier events, an I-step by the row's value at the same
+    event. The sums add one best value per sequence in sequence order, as
+    ``sup_calc`` does, so the wes is the one its scan gives, bit for bit. A
+    new row's first event anchors the extension's projection entry, which
+    drops, as ``project`` drops it, when it is the final event's last item.
+    """
+    es = wes = 0.0
+    anchors: list[Entry] = []
+    child_rows: dict[int, tuple] | None = None if parent is None else {}
+    s_step = kind == "S"
+    for si, _ in entries:
+        pseq = pdb[si]
+        if parent is None:
+            ks, ps = pseq.index[item]
+            best, first = ps[0], ks[0]
+        else:
+            seq = seqs[si]
+            end = (seq.n_events, 0.0)  # past every position
+            rest = zip(*(seq.index[parent] if rows is None else rows[si]))
+            pos, val = next(rest)
+            positions: list[int] = []
+            values: list[float] = []
+            best = run = 0.0
+            ks, ps = seq.index[item]
+            for k, p in zip(ks, ps):
+                while pos < k:
+                    if val > run:
+                        run = val
+                    pos, val = next(rest, end)
+                b = run if s_step else val if pos == k else 0.0
+                if b > 0.0:
+                    v = p * b
+                    if v > best:
+                        best = v
+                    positions.append(k)
+                    values.append(v)
+            if best <= 0.0:
+                continue
+            first = positions[0]
+        es += best
+        wes += best * mean
+        if first != pseq.last_event or item != pseq.last_item:
+            anchors.append((si, first))
+            if child_rows is not None:
+                child_rows[si] = (positions, values)
+    return es, wes, anchors, child_rows
 
 
 def fuws(

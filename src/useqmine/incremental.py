@@ -116,14 +116,16 @@ def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[S
     """Fold one increment, keeping the promising buffer; returns the frequent set.
 
     The local mine runs first and rejects an unweighted item before any state
-    changes. A tracked pattern keeps its longer history, read from the fold,
-    so the local mine verifies only the newcomers; each enters with its
-    support in ``delta`` alone.
+    changes. It runs under ``bound="exact"``, so growth gives each candidate
+    its wes in ``delta`` and no scan runs. A tracked pattern keeps its longer
+    history, read from the fold, so the local mine stores only the
+    newcomers; each enters with its support in ``delta`` alone. The mine and
+    the fold share one count of ``delta``'s item frequencies.
     """
     p = state.params
     seq, pfs = state.seq_trie, state.pfs_trie
     lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct,
-                                known=(seq, pfs))
+                                bound="exact", known=(seq, pfs))
     th = _fold(state, delta)
     placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
     placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()]

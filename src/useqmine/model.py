@@ -190,12 +190,18 @@ class UncertainDatabase:
         return sorted({item for seq in self.sequences for item in seq.index})
 
     def item_frequencies(self) -> dict[ItemId, int]:
-        """Occurrence count per item over the whole database."""
-        freq: dict[ItemId, int] = {}
-        for seq in self.sequences:
-            for item, (ks, _) in seq.index.items():
-                freq[item] = freq.get(item, 0) + len(ks)
-        return freq
+        """Occurrence count per item over the whole database, in order of
+        first occurrence. A database never changes, so the count is made
+        once and kept: a uWSInc+ step's local mine and its fold both read
+        the increment's, and each call returns its own copy."""
+        freq = self.__dict__.get("_freq")
+        if freq is None:
+            freq = {}
+            for seq in self.sequences:
+                for item, (ks, _) in seq.index.items():
+                    freq[item] = freq.get(item, 0) + len(ks)
+            object.__setattr__(self, "_freq", freq)
+        return dict(freq)
 
     @staticmethod
     def concat(parts: list["UncertainDatabase"]) -> "UncertainDatabase":

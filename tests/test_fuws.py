@@ -11,6 +11,7 @@ from useqmine import (
     BoundRecord,
     MiningError,
     Thresholds,
+    UncertainDatabase,
     USeqTrie,
     WamAccumulator,
     WeightTable,
@@ -20,6 +21,7 @@ from useqmine import (
     meets,
     mine_trie,
     oracle_exp_sup,
+    oracle_max_pr_s,
     oracle_mine,
     preprocess,
     project,
@@ -555,7 +557,7 @@ class TestFuws:
     other=databases(),
     weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
     min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
-    bound=st.sampled_from(["cap", "top"]),
+    bound=st.sampled_from(["cap", "top", "exact"]),
     data=st.data(),
 )
 def test_known_patterns_are_left_unverified(db, other, weights, min_sup, bound, data):
@@ -580,3 +582,57 @@ def test_known_patterns_are_left_unverified(db, other, weights, min_sup, bound, 
     assert stats.survivors == len(got)
     assert stats.known + stats.false_positives + stats.survivors == stats.candidates
     assert full.known == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases() | databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+    min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+)
+def test_exact_rows_store_what_the_scan_verifies(db, weights, min_sup):
+    # Exact rows give each candidate the wes the verify scan gives, so the
+    # exact mine stores what cap and top store, from fewer candidates, with
+    # no scan and nothing ruled out; tracing changes none of it.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    trace, cap_trace = [], []
+    exact_trie, exact = mine_trie(db, wt, min_sup, 1.0, bound="exact", trace=trace)
+    cap_trie, _ = mine_trie(db, wt, min_sup, 1.0, trace=cap_trace)
+    top_trie, _ = mine_trie(db, wt, min_sup, 1.0, bound="top")
+    got = dict(exact_trie.patterns())
+    assert got == dict(cap_trie.patterns()) == dict(top_trie.patterns())
+    assert exact_trie.snapshot() == cap_trie.snapshot()
+    generated = {r.pattern for r in trace if r.generated}
+    assert generated <= {r.pattern for r in cap_trace if r.generated}
+    assert (exact.candidates, exact.ruled_out, exact.known) == (len(generated), 0, 0)
+    assert exact.known + exact.false_positives + exact.survivors == exact.candidates
+    assert exact.survivors == len(got)
+    plain_trie, plain = mine_trie(db, wt, min_sup, 1.0, bound="exact")
+    assert plain_trie.snapshot() == exact_trie.snapshot()
+    assert (plain.candidates, plain.bounded) == (exact.candidates, len(trace))
+    # Rows are built exactly where the cap bound generates.
+    cap_passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap >= exact.min_wes - EPS]
+    assert [r.exp_sup is not None for r in trace] == [r in cap_passing for r in trace]
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases(items="abc") | databases(last_min_size=2, items="abc"))
+def test_exact_row_maxima_match_every_reference(db):
+    # Mined alone, a sequence's exact expected support for a pattern is its
+    # row maximum: the best embedding probability, which sup_calc (at mean
+    # weight 1.0), max_pr_dynamic and the enumerating oracle all give.
+    ones = WeightTable(dict.fromkeys("abc", 1.0))
+    for seq in db.sequences:
+        if all(len(ks) == 1 for ks, _ in seq.index.values()):
+            continue  # only sequences that repeat an item
+        trace = []
+        mine_trie(UncertainDatabase((seq,)), ones, 0.05, 1.0, bound="exact", trace=trace)
+        for rec in trace:
+            if rec.exp_sup is None:
+                continue
+            ref = USeqTrie()
+            ref.insert(rec.pattern)
+            sup_calc(ref, UncertainDatabase((seq,)), ones)
+            assert rec.exp_sup == ref.get_wes(rec.pattern)
+            assert rec.exp_sup == pytest.approx(max_pr_dynamic(rec.pattern, seq), rel=1e-12)
+            assert rec.exp_sup == pytest.approx(oracle_max_pr_s(rec.pattern, seq), rel=1e-12)

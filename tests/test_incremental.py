@@ -454,7 +454,8 @@ def test_local_mine_leaves_tracked_patterns_unverified(
     uwsincplus_step(state, delta1)
     local = local_mines[-1]
     p = state.params
-    full_trie, full = mine_trie(delta1, sample_weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
+    full_trie, full = mine_trie(delta1, sample_weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct,
+                                bound="exact")
     found_tracked = set(dict(full_trie.patterns())) & tracked
     # (a) and (c), tracked since init, are locally frequent in delta1.
     assert {P("(a)"), P("(c)")} <= found_tracked
