@@ -35,41 +35,39 @@ looser bound ``top`` puts ``maxpr * peak prob * projected support`` in place
 of ``est_sup``; ``mine_trie(bound="top")`` keeps it for benchmark comparison.
 Both bounds are computed in one place, the loop of ``_grow``.
 
-A candidate's own bound is est_sup, under either bound, times its own mean
-item weight m (the float the scan's plan computes), much tighter than ``est``.
-A generated candidate whose own bound times ``slack`` is below the floor
-``min_wes - EPS`` is ruled out: growth still counts and grows it (a descendant
-can be heavier), but stores it as a prefix-only node, which no scan verifies.
+A slot is generated when ``est * gen_slack`` meets the floor ``min_wes -
+EPS``. A candidate's own bound is est_sup, under either bound, times its own
+mean item weight m (the float the scan's plan computes), much tighter than
+``est``. A generated candidate whose own bound times ``slack`` is below the
+floor is ruled out: growth still counts and grows it (a descendant can be
+heavier), but stores it as a prefix-only node, which no scan verifies.
 
-The margin: the bound is (sum of p) * m and the verified wes the sum of
-best * m, equal in real arithmetic at the root. With u = 2**-53, n sequences
-and L items, the float bound (L - 1 products in maxpr, n - 1 sums, two more
-products) is at least (1 - u)**(n + L) times the real one, and the verified
-sum (L roundings per term, n - 1 sums, in any order) at most
-(1 + u)**(n + L - 1) times the real wes. ``slack = 1 + 4(n + L + 2)u``, exact
-in binary, covers their ratio, about 1 + 2(n + L)u, and its own product's
-rounding, so a ruled-out candidate misses the floor when verified too.
+The margins: with u = 2**-53 and n sequences, a pattern of L items has a
+float wes (per term L - 1 products of probabilities, L - 1 sums of weights,
+a division and a product; n - 1 sums) at most (1 + u)**(n + 2L) times its
+real wes, itself at most the real bound, and a float bound (at most L - 1
+products in maxpr, n - 1 sums, two more products) is at least
+(1 - u)**(n + L) times the real one. ``1 + 4(n + L + 2)u``, exact in binary,
+covers their ratio, about 1 + (2n + 3L)u, and its own product's rounding.
+``slack`` takes the candidate's length, so a ruled-out candidate misses the
+floor when verified too. ``gen_slack``, one per mine, takes the database's
+item occurrences F (``wam_acc.freq_sum``): an embedding maps each item to
+its own occurrence, so no pattern on a branch is longer, and a generate test
+never drops a branch holding a pattern the scan would store, even where the
+bound ties the floor.
 
-``bound="exact"`` carries exact embedding rows through growth, as
-``sup_calc`` builds them per sequence: the ascending events where the
-pattern can end and the best embedding probability ending at each. A slot
-its cap bound generates gets its rows (``_extend_rows``), and es, the sum of
-their maxima, is the extension's expected support; its wes comes out bit for
-bit as the scan's, so an exact mine verifies nothing and rules nothing out.
-Each row's first event, the earliest where the pattern ends and never before
-``project``'s anchor, anchors the extension's projection entry, so an exact
-frame is never projected. The extension is generated when ``es * wgt_cap *
-slack`` meets the floor. A descendant D of length L has, per sequence, a
-best value no larger than the row's maximum, in floats too, as each of its
-values is a row value times probabilities of at most 1, and a real mean item
-weight of at most ``wgt_cap``. Its float wes (L - 1 sums of weights, one
-division, one product per term and n - 1 sums) is at most (1 + u)**(n + L)
-times ``wgt_cap`` times the real sum of row maxima, and the float test value
-(n - 1 sums, two products) at least (1 - u)**(n + 1) times its real value.
-An embedding maps each item of D to its own occurrence, so L is at most M,
-the most items one sequence holds, and ``slack = 1 + 4(n + M + 2)u`` covers
-the ratio, about 1 + (2n + L + 1)u: the test never drops an extension whose
-subtree holds a pattern the scan would store.
+``bound="exact"`` carries each pattern's rows (see the ``trie`` module
+docstring) through growth. A slot its cap bound generates gets its rows
+(``_extend_rows``), and es, the sum of their maxima, is the extension's
+expected support; its wes comes out bit for bit as the scan's, so an exact
+mine verifies nothing and rules nothing out. Each row's first event, the
+earliest where the pattern ends and never before ``project``'s anchor,
+anchors the extension's projection entry, so an exact frame is never
+projected. The extension is generated when ``es * wgt_cap * gen_slack``
+meets the floor: each value of a descendant's row is a row value times
+probabilities of at most 1, in floats too, and its real mean item weight is
+at most ``wgt_cap``, so the margins hold with the row maxima in place of the
+bound's probabilities.
 
 Below the root, a node bounds only the items its parent generated: the
 parent's generated S-items, plus its generated I-items when the node is an
@@ -112,7 +110,7 @@ from .model import (
     extend,
     single,
 )
-from .trie import USeqTrie, sup_calc
+from .trie import USeqTrie, extend_row, sup_calc
 
 Bound = str  # "cap" (tight, default), "top" (classic, for benchmarks) or "exact"
 
@@ -437,9 +435,7 @@ def _grow(
     exact = bound == "exact"
     cap_bound = bound != "top"
     floor = min_wes - EPS  # what ``meets`` compares with
-    if exact:  # the module docstring's generation slack
-        most = max((sum(len(ks) for ks, _ in s.index.values()) for s in seqs), default=0)
-        exact_slack = 1.0 + 4 * (len(pdb) + most + 2) * 2.0**-53
+    gen_slack = 1.0 + 4 * (len(pdb) + stats.wam_acc.freq_sum + 2) * 2.0**-53  # module docstring
     # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
     stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0, None)]
     while stack:
@@ -480,7 +476,7 @@ def _grow(
                 prob_sum, prob_max, entries = acc[item]
                 sup = maxpr * prob_sum
                 est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
-                generated = est >= floor
+                generated = est * gen_slack >= floor
                 es = None
                 if generated:
                     w = weight[item]
@@ -489,7 +485,7 @@ def _grow(
                         es, wes, anchors, child_rows = _extend_rows(
                             pdb, seqs, node.item, rows, kind, item, entries, cw / length
                         )
-                        generated = es * wgt_cap * exact_slack >= floor
+                        generated = es * wgt_cap * gen_slack >= floor
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
@@ -522,33 +518,30 @@ def _extend_rows(
     pdb: PreprocessedDB,
     seqs: Sequence[USequence],
     parent: ItemId | None,
-    rows: dict[int, tuple] | None,
+    rows: dict[int, list] | None,
     kind: ExtKind,
     item: ItemId,
     entries: Sequence[Entry],
     mean: float,
-) -> tuple[float, float, list[Entry], dict[int, tuple] | None]:
+) -> tuple[float, float, list[Entry], dict[int, list] | None]:
     """The exact rows of a pattern extended by ``(kind, item)`` over its
     slot's ``entries``: returns the extension's expected support, its wes
     (its mean item weight ``mean``), its projection entries and its rows.
 
-    A row is ``(positions, values)`` for one sequence: the ascending events
-    where the pattern can end and the best embedding probability ending at
-    each. ``rows`` maps each sequence of the pattern's projection to its
-    row. It is None for a root child, whose rows are the raw stored index of
-    its item, ``parent``. A child of the root itself (``parent`` None) takes
-    its raw index as its rows, whose maximum is the rewritten index's first
-    value, so nothing is built. Below the root the step is ``sup_calc``'s: an
-    S-step scores each occurrence of ``item`` by the running max of the
-    row's values at earlier events, an I-step by the row's value at the same
-    event. The sums add one best value per sequence in sequence order, as
-    ``sup_calc`` does, so the wes is the one its scan gives, bit for bit. A
-    new row's first event anchors the extension's projection entry, which
-    drops, as ``project`` drops it, when it is the final event's last item.
+    ``rows`` maps each sequence of the pattern's projection to its row (see
+    the ``trie`` module docstring). It is None for a root child, whose rows
+    are the raw stored index of its item, ``parent``. A child of the root
+    itself (``parent`` None) takes its raw index as its rows, whose maximum
+    is the rewritten index's first value, so nothing is built. Below the
+    root each row is ``trie.extend_row`` of the parent's. The sums add one
+    best value per sequence in sequence order, as ``sup_calc`` does, so the
+    wes is the one its scan gives, bit for bit. A new row's first event
+    anchors the extension's projection entry, which drops, as ``project``
+    drops it, when it is the final event's last item.
     """
     es = wes = 0.0
     anchors: list[Entry] = []
-    child_rows: dict[int, tuple] | None = None if parent is None else {}
+    child_rows: dict[int, list] | None = None if parent is None else {}
     s_step = kind == "S"
     for si, _ in entries:
         pseq = pdb[si]
@@ -556,35 +549,18 @@ def _extend_rows(
             ks, ps = pseq.index[item]
             best, first = ps[0], ks[0]
         else:
-            seq = seqs[si]
-            end = (seq.n_events, 0.0)  # past every position
-            rest = zip(*(seq.index[parent] if rows is None else rows[si]))
-            pos, val = next(rest)
-            positions: list[int] = []
-            values: list[float] = []
-            best = run = 0.0
-            ks, ps = seq.index[item]
-            for k, p in zip(ks, ps):
-                while pos < k:
-                    if val > run:
-                        run = val
-                    pos, val = next(rest, end)
-                b = run if s_step else val if pos == k else 0.0
-                if b > 0.0:
-                    v = p * b
-                    if v > best:
-                        best = v
-                    positions.append(k)
-                    values.append(v)
+            index = seqs[si].index
+            row = zip(*index[parent]) if rows is None else rows[si]
+            best, row = extend_row(row, index[item], s_step)
             if best <= 0.0:
                 continue
-            first = positions[0]
+            first = row[0][0]
         es += best
         wes += best * mean
         if first != pseq.last_event or item != pseq.last_item:
             anchors.append((si, first))
             if child_rows is not None:
-                child_rows[si] = (positions, values)
+                child_rows[si] = row
     return es, wes, anchors, child_rows
 
 

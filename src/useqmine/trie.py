@@ -4,9 +4,18 @@ A stored pattern's node is one whose wes (weighted expected support
 accumulator) is set; on every other node wes is ``None``. One pass of
 ``sup_calc`` over a database (or an increment) adds every sequence's
 contribution to every stored pattern in a single scan, through a plan of the
-trie compiled once per call with each node's mean item weight; per sequence,
-a node's state is one sparse row of ``(event position, best embedding
-probability)`` pairs, one per event where its pattern can end.
+trie compiled once per call with each node's mean item weight.
+
+Per sequence, a pattern's state is its row: ascending ``(event position,
+value)`` pairs, one per event where the pattern can end, the value being the
+best probability of an embedding whose last item is in that event.
+``extend_row`` is the one step from a pattern's row to the row of its
+extension by an item (the prefix-best-product recurrence): an S-step scores
+each occurrence of the item by the running maximum of the row's values at
+strictly earlier events, an I-step by the row's value at the same event. The
+extension's best value in the sequence, its share of expected support, is
+the largest value of its row. ``sup_calc`` and the exact local mine
+(``fuws._extend_rows``) both build rows with it.
 
 A node that is only a prefix of stored patterns keeps a ``None`` wes and at
 least one child: pruning can leave sets that are not prefix-closed (a
@@ -21,6 +30,7 @@ stacks, so a pattern may be longer than Python's recursion limit.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 
 from .model import (
@@ -237,17 +247,48 @@ class USeqTrie:
         return trie
 
 
+_END = (sys.maxsize, 0.0)  # past every event position
+
+
+def extend_row(
+    row: Iterable[tuple[int, float]],
+    occ: tuple[tuple[int, ...], tuple[float, ...]],
+    s_step: bool,
+) -> tuple[float, list[tuple[int, float]]]:
+    """One row step (see the module docstring): the best value and the row of
+    a pattern extended by an item, from the pattern's non-empty ``row`` in
+    one sequence and the item's stored ``(positions, probabilities)`` there.
+
+    One pass merges the two by position, carrying the running maximum of the
+    row's values before the current occurrence.
+    """
+    ks, ps = occ
+    child: list[tuple[int, float]] = []
+    best = run = 0.0
+    rest = iter(row)
+    pos, val = next(rest)
+    j = 0
+    for k in ks:
+        while pos < k:
+            if val > run:
+                run = val
+            pos, val = next(rest, _END)
+        b = run if s_step else val if pos == k else 0.0
+        if b > 0.0:
+            v = ps[j] * b
+            if v > best:
+                best = v
+            child.append((k, v))
+        j += 1
+    return best, child
+
+
 def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -> None:
     """Add each sequence's contribution to every stored pattern's wes.
 
-    Per sequence, each node carries a row: ascending ``(event position,
-    value)`` pairs, one per event where the node's pattern embeds with its
-    last item in that event, the value being the best such embedding's
-    probability. An S-edge child scores each occurrence of its item by the
-    parent's best value at strictly earlier positions, a running maximum
-    carried by one pointer along the row; an I-edge child by the parent's
-    value at the same position. A node adds its best value times its
-    pattern's mean item weight.
+    Per sequence, each node carries its pattern's row, and a child's row is
+    ``extend_row`` of its parent's by the child's edge. A node adds its best
+    value times its pattern's mean item weight.
 
     The call first compiles the trie into a plan, one ``(item, is S-edge,
     child, mean item weight, child's plan)`` entry per child, so an item
@@ -273,7 +314,6 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
     entry = {item: rest for item, s_step, *rest in root if s_step}
     for seq in db_part.sequences:
         index = seq.index
-        end = (seq.n_events, 0.0)  # past every position
         rows = []
         for item, (ks, ps) in index.items():
             hit = entry.get(item)
@@ -288,28 +328,9 @@ def sup_calc(trie: USeqTrie, db_part: UncertainDatabase, weights: WeightTable) -
             first = row[0][0]
             for item, s_step, child, mean, sub in plan:
                 occ = index.get(item)
-                if occ is None:
+                if occ is None or occ[0][-1] < first + s_step:  # an S-step needs a later event
                     continue
-                ks, ps = occ
-                if ks[-1] < first + s_step:  # an S-step needs a later event
-                    continue
-                child_row = []
-                best = run = 0.0
-                rest = iter(row)
-                pos, val = next(rest)
-                j = 0
-                for k in ks:
-                    while pos < k:
-                        if val > run:
-                            run = val
-                        pos, val = next(rest, end)
-                    b = run if s_step else val if pos == k else 0.0
-                    if b > 0.0:
-                        v = ps[j] * b
-                        if v > best:
-                            best = v
-                        child_row.append((k, v))
-                    j += 1
+                best, child_row = extend_row(row, occ, s_step)
                 if best > 0.0:
                     if child.wes is not None:
                         child.wes += best * mean

@@ -246,12 +246,18 @@ def _grows_from(desc, anc):
     return True
 
 
+def gen_slack(db, acc):
+    """The ``fuws`` module docstring's generation slack for ``db``."""
+    return 1.0 + 4 * (db.size + acc.freq_sum + 2) * 2.0**-53
+
+
 def unpruned_trace(db, wt, min_sup, bound):
     """Reference growth: every level bounds every item of the full index, and
     wgt_cap is the largest weight over all of the level's candidates.
     Returns the records and the threshold."""
     pdb, acc = preprocess(db, wt)
     min_wes = Thresholds.compute(min_sup, db.size, acc.wam, 1.0, 1.0).min_wes
+    slack = gen_slack(db, acc)
     records = []
 
     def grow(proj, prefix, maxpr, mxw):
@@ -260,7 +266,7 @@ def unpruned_trace(db, wt, min_sup, bound):
         for cand in cands:
             cap = maxpr * cand.prob_sum
             top = maxpr * cand.prob_max * cand.seq_count
-            generated = meets((cap if bound == "cap" else top) * wgt_cap, min_wes)
+            generated = (cap if bound == "cap" else top) * wgt_cap * slack >= min_wes - EPS
             pat = extend(prefix, cand.item, cand.kind) if prefix else single(cand.item)
             records.append(BoundRecord(pat, cand.kind, maxpr * cand.prob_max, cap, top, wgt_cap,
                                        generated))
@@ -367,21 +373,30 @@ def test_ruled_out_candidates_are_below_the_floor(db, weights, min_sup, bound):
     assert len(ruled_out) == stats.ruled_out
 
 
+def min_sup_at(floor, size, wam):
+    """A ``min_sup`` whose floor ``min_wes - EPS`` over ``size`` sequences is
+    exactly ``floor``."""
+    min_sup = (floor + EPS) / (size * wam)
+    for _ in range(100):
+        got = Thresholds.compute(min_sup, size, wam, 1.0, 1.0).min_wes - EPS
+        if got == floor:
+            return min_sup
+        min_sup = math.nextafter(min_sup, -math.inf if got > floor else math.inf)
+    raise AssertionError(f"no min_sup puts the floor on {floor!r}")
+
+
+# (0.2 + 0.29) * 0.9 rounds one ulp below 0.2 * 0.9 + 0.29 * 0.9, the
+# verified wes of (a); the tests below put the floor exactly on the latter.
+TIE_WES = 0.2 * 0.9 + 0.29 * 0.9
+
+
 def test_root_candidate_at_the_floor_is_reported(tmp_path):
-    # (0.2 + 0.29) * 0.9 rounds one ulp below 0.2 * 0.9 + 0.29 * 0.9, the
-    # verified wes of (a), and min_sup puts the floor min_wes - EPS exactly
-    # on the latter. b (weight 1.0) lifts wgt_cap, so (a) is generated, and
-    # only the rounding margin keeps its own bound from ruling it out.
+    # b (weight 1.0) lifts wgt_cap, so (a) is generated, and only the
+    # rounding margin keeps its own bound from ruling it out.
     db = db_from_text(tmp_path, "a:0.2 b:0.01 -1 -2\na:0.29 -1 -2\n")
     wt = WeightTable({"a": 0.9, "b": 1.0})
-    wam = (2 * 0.9 + 1.0) / 3
-    wes = 0.2 * 0.9 + 0.29 * 0.9
-    min_sup = (wes + EPS) / (2 * wam)
-    for _ in range(100):
-        floor = Thresholds.compute(min_sup, 2, wam, 1.0, 1.0).min_wes - EPS
-        if floor == wes:
-            break
-        min_sup = math.nextafter(min_sup, -math.inf if floor > wes else math.inf)
+    wes = TIE_WES
+    min_sup = min_sup_at(wes, 2, (2 * 0.9 + 1.0) / 3)
     trace = []
     trie, stats = mine_trie(db, wt, min_sup, 1.0, trace=trace)
     rec = next(r for r in trace if r.pattern == P("(a)"))
@@ -389,6 +404,18 @@ def test_root_candidate_at_the_floor_is_reported(tmp_path):
     assert rec.exp_sup_cap * 0.9 < stats.min_wes - EPS == wes
     assert stats.ruled_out == 0
     assert patterns_by_key(trie.collect(stats.min_wes)) == {P("(a)"): wes}
+
+
+def test_every_bound_generates_a_root_candidate_at_the_floor(tmp_path):
+    # With (a) the heaviest item, its generate test reads the same
+    # one-ulp-low product; the generation slack must keep it.
+    db = db_from_text(tmp_path, "a:0.2 -1 -2\na:0.29 -1 -2\n")
+    wt = WeightTable({"a": 0.9})
+    min_sup = min_sup_at(TIE_WES, 2, 0.9)
+    for bound in ("cap", "top", "exact"):
+        trie, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound)
+        assert stats.min_wes - EPS == TIE_WES
+        assert dict(trie.patterns()) == {P("(a)"): TIE_WES}, bound
 
 
 def test_scan_gets_only_live_subtrees(sample_db, sample_weights, monkeypatch):
@@ -611,7 +638,8 @@ def test_exact_rows_store_what_the_scan_verifies(db, weights, min_sup):
     assert plain_trie.snapshot() == exact_trie.snapshot()
     assert (plain.candidates, plain.bounded) == (exact.candidates, len(trace))
     # Rows are built exactly where the cap bound generates.
-    cap_passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap >= exact.min_wes - EPS]
+    slack = gen_slack(db, preprocess(db, wt)[1])
+    cap_passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap * slack >= exact.min_wes - EPS]
     assert [r.exp_sup is not None for r in trace] == [r in cap_passing for r in trace]
 
 

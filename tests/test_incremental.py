@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from useqmine import (
     MiningError,
@@ -13,6 +14,7 @@ from useqmine import (
     MissingWeightError,
     ParseError,
     UncertainDatabase,
+    USequence,
     WamAccumulator,
     fuws,
     init_mining,
@@ -748,3 +750,95 @@ def test_baseline_equivalence(sample_db, sample_weights, delta1):
     assert set(fs) <= set(base)
     for pat in fs:
         assert fs[pat] <= base[pat] + 1e-9
+
+
+class IncrementalMachine(RuleBasedStateMachine):
+    """Interleaves both step kinds, refused deltas and checkpoint round trips
+    on one ``IncrementalState``, checking after every rule what must hold
+    whatever ran before."""
+
+    @initialize(
+        init=databases(),
+        weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+        min_sup=st.sampled_from([0.1, 0.2, 0.4]),
+        mu=st.sampled_from([0.5, 0.8, 1.0]),
+        lwes_factor=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def start(self, init, weights, min_sup, mu, lwes_factor):
+        self.weights = WeightTable(dict(zip(DB_ITEMS, weights)))
+        self.state = init_mining(init, self.weights, MiningParams(min_sup, 1.0, mu, lwes_factor))
+        self.db = init
+        self.plus_ran = False  # a uWSInc+ step admits patterns with partial support
+        self.reported = self.state.seq_trie.collect(self.state.thresholds().min_wes)
+
+    @rule(delta=databases())
+    def uwsinc(self, delta):
+        self.reported = uwsinc_step(self.state, delta)
+        self.db = UncertainDatabase.concat([self.db, delta])
+        assert not self.state.pfs_trie.root.children  # uWSInc keeps no promising buffer
+
+    @rule(delta=databases())
+    def uwsincplus(self, delta):
+        self.reported = uwsincplus_step(self.state, delta)
+        self.db = UncertainDatabase.concat([self.db, delta])
+        self.plus_ran = True
+
+    @rule(delta=databases(), at=st.integers(0, 5), step=st.sampled_from([uwsinc_step,
+                                                                          uwsincplus_step]))
+    def unweighted_delta(self, delta, at, step):
+        seqs = list(delta.sequences)
+        seqs.insert(min(at, len(seqs)), USequence([[("z", 0.5)]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ck")
+            save_state(self.state, path)
+            with pytest.raises(MissingWeightError, match="'z'"):
+                step(self.state, UncertainDatabase(tuple(seqs)))
+            with open(path, "rb") as fh:
+                before = fh.read()
+            save_state(self.state, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == before
+
+    @rule()
+    def checkpoint_round_trip(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ck")
+            save_state(self.state, path)
+            with open(path, "rb") as fh:
+                saved = fh.read()
+            loaded = load_state(path, self.weights)
+            save_state(loaded, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == saved
+        assert (loaded.db_size, loaded.params) == (self.state.db_size, self.state.params)
+        self.state = loaded
+
+    @invariant()
+    def database_counts(self):
+        fresh = WamAccumulator()
+        fresh.add(self.db, self.weights)
+        assert self.state.db_size == self.db.size
+        assert self.state.wam_acc.freq_sum == fresh.freq_sum
+        assert self.state.wam_acc.wam == pytest.approx(fresh.wam, rel=1e-12)
+
+    @invariant()
+    def tracked_patterns(self):
+        seq = dict(self.state.seq_trie.patterns())
+        pfs = dict(self.state.pfs_trie.patterns())
+        assert not set(seq) & set(pfs)
+        for trie, held in ((self.state.seq_trie, seq), (self.state.pfs_trie, pfs)):
+            assert USeqTrie.from_snapshot(trie.snapshot()).snapshot() == trie.snapshot()
+            for pat, wes in held.items():
+                truth = oracle_wes(pat, self.db, self.weights)
+                assert wes <= truth + 1e-9
+                if not self.plus_ran and held is seq:
+                    assert wes == pytest.approx(truth, abs=1e-9)
+
+    @invariant()
+    def reported_patterns(self):
+        min_wes = self.state.thresholds().min_wes
+        assert all(meets(sp.wes, min_wes) for sp in self.reported)
+
+
+TestIncrementalMachine = IncrementalMachine.TestCase
+TestIncrementalMachine.settings = settings(max_examples=50, stateful_step_count=6, deadline=None)

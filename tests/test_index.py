@@ -331,3 +331,34 @@ def test_sup_calc_rows_match_dense_recurrence_bit_for_bit(db, stored):
     for pat, wes in stored.items():
         assert trie.get_wes(pat) == dense_wes(pat, db, WEIGHTS, wes)
 
+
+class DenseCheckedTrace(list):
+    """A trace list that checks each record's exact expected support against
+    the dense recurrence (unit weights make the mean item weight exactly 1.0)
+    as growth appends it, so a wrong row step fails before growth, which it
+    can make endless, runs on."""
+
+    ONES = WeightTable(dict.fromkeys(DENSE_ITEMS, 1.0))
+
+    def __init__(self, db):
+        super().__init__()
+        self.db = db
+
+    def append(self, rec):
+        if rec.exp_sup is not None:
+            assert rec.exp_sup == dense_wes(rec.pattern, self.db, self.ONES, 0.0), rec
+        super().append(rec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases(items=DENSE_ITEMS) | databases(last_min_size=2, items=DENSE_ITEMS),
+    min_sup=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_exact_mine_stores_the_dense_recurrence_bit_for_bit(db, min_sup):
+    # The exact mine builds its rows with the step sup_calc uses, so the
+    # dense recurrence is the independent reference for both.
+    trace = DenseCheckedTrace(db)
+    trie, _ = mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", trace=trace)
+    for pat, wes in trie.patterns():
+        assert wes == dense_wes(pat, db, WEIGHTS, 0.0)
