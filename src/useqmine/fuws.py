@@ -57,17 +57,30 @@ never drops a branch holding a pattern the scan would store, even where the
 bound ties the floor.
 
 ``bound="exact"`` carries each pattern's rows (see the ``trie`` module
-docstring) through growth. A slot its cap bound generates gets its rows
-(``_extend_rows``), and es, the sum of their maxima, is the extension's
-expected support; its wes comes out bit for bit as the scan's, so an exact
-mine verifies nothing and rules nothing out. Each row's first event, the
-earliest where the pattern ends and never before ``project``'s anchor,
-anchors the extension's projection entry, so an exact frame is never
-projected. The extension is generated when ``es * wgt_cap * gen_slack``
-meets the floor: each value of a descendant's row is a row value times
-probabilities of at most 1, in floats too, and its real mean item weight is
-at most ``wgt_cap``, so the margins hold with the row maxima in place of the
-bound's probabilities.
+docstring) and their maxima b_s, one per sequence, through growth. Below the
+root it bounds a slot by ``sum of b_s * p_s`` over its entries, p_s being
+``determine``'s slot value, not ``maxpr * sum of p_s``: the extension's row
+values are the pattern's, each at most b_s, times the item's probabilities,
+each at most p_s, and a descendant's are smaller still. Float ``*`` and
+``+`` round monotonically and ``_extend_rows`` sums in the same order, so
+the float bound is at least the float es. A slot it passes gets its rows,
+and es, the sum of their maxima, is the extension's expected support; its
+wes comes out bit for bit as the scan's, so an exact mine verifies nothing
+and rules nothing out. Each row's first event, the earliest where the
+pattern ends and never before ``project``'s anchor, anchors the extension's
+projection entry, so an exact frame is never projected. The extension is
+generated when ``es * wgt_cap * gen_slack`` meets the floor: a descendant's
+row values are at most its row's, in floats too, and its real mean item
+weight is at most ``wgt_cap``, so the margins hold with the row maxima in
+place of the bound's probabilities.
+
+Given ``tracked`` tries, exact growth is their fold too: a frame carries its
+path's nodes in them, a tracked edge always gets its rows (over all of the
+frame's entries if no slot holds its item), and each tracked node storing
+the extension adds ``best * mean`` once per sequence, in sequence order, as
+``sup_calc`` does. Below a tracked edge the local test rejects, its es and
+``wgt_cap`` bound every descendant, so nothing there is generated: a frame
+with no trie node walks the tracked children alone, with no ``determine``.
 
 Below the root, a node bounds only the items its parent generated: the
 parent's generated S-items, plus its generated I-items when the node is an
@@ -99,6 +112,7 @@ from .model import (
     ExtKind,
     ItemId,
     MiningError,
+    MissingWeightError,
     Pattern,
     ScoredPattern,
     Thresholds,
@@ -110,7 +124,7 @@ from .model import (
     extend,
     single,
 )
-from .trie import USeqTrie, extend_row, sup_calc
+from .trie import TrieNode, USeqTrie, extend_row, sup_calc, unweighted_item
 
 Bound = str  # "cap" (tight, default), "top" (classic, for benchmarks) or "exact"
 
@@ -157,9 +171,11 @@ class BoundRecord:
     S-items, plus its generated I-items when the node is an I-extension.
     ``maxpr`` is the extension's maxpr: its prefix's maxpr (1.0 at the root)
     times the item's peak remaining probability over the projection, the
-    factor its children's bounds start from. ``exp_sup`` is the
+    factor its children's bounds start from. Below the root, ``exact``
+    records its row-weighted bound as ``exp_sup_cap``. ``exp_sup`` is the
     extension's exact expected support where ``exact`` built its rows (for
-    each extension its cap bound generates), and None otherwise.
+    each extension its bound generates, and each tracked one), and None
+    otherwise.
     """
 
     pattern: Pattern
@@ -182,7 +198,7 @@ class MineStats:
     candidates: int = 0
     false_positives: int = 0
     ruled_out: int = 0  # false positives settled by their own bound, with no scan; 0 under exact
-    known: int = 0  # candidates a ``known`` trie stores, left unverified
+    known: int = 0  # candidates a tracked trie stores, left unstored
     survivors: int = 0
     grow_ms: float = 0.0
     verify_ms: float = 0.0
@@ -243,7 +259,8 @@ def root_projection(pdb: PreprocessedDB) -> ProjectedDB:
 
 
 def determine(
-    pdb: PreprocessedDB, proj: ProjectedDB, alive: set[ItemId] | None = None
+    pdb: PreprocessedDB, proj: ProjectedDB, alive: set[ItemId] | None = None,
+    bests: Sequence[float] | None = None,
 ) -> dict[ExtKind, dict[ItemId, list]]:
     """The extension slots of a projection: for "I" and for "S", in that
     order, each item -> ``[prob_sum, prob_max, entries]``.
@@ -264,10 +281,42 @@ def determine(
     it in the anchor event (after ``open_item``, as it is larger) or later.
     Growth therefore projects an extension over its slot's entries, and gets
     the same child projection as over all of them.
+
+    Given ``bests``, an exact frame's best value per entry, ``prob_sum``
+    sums each value times its entry's best instead (the module docstring's
+    row-weighted bound). That loop is a copy, so static mines pay no product.
     """
     s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     open_item = proj.open_item
+    if bests is not None:
+        for entry, b in zip(proj.entries, bests):
+            si, ei = entry
+            for it, (ks, ps) in pdb[si].index.items():
+                last = ks[-1]
+                if last <= ei and (last < ei or it <= open_item):
+                    break
+                if alive is not None and it not in alive:
+                    continue
+                if last > ei:
+                    j = bisect_right(ks, ei)
+                    p = ps[j]
+                    slot = s_acc[it]
+                    slot[0] += b * p
+                    slot[2].append(entry)
+                    if p > slot[1]:
+                        slot[1] = p
+                    if j and ks[j - 1] == ei:
+                        p = ps[j - 1]
+                else:
+                    p = ps[-1]
+                if open_item is not None and it > open_item:
+                    slot = i_acc[it]
+                    slot[0] += b * p
+                    slot[2].append(entry)
+                    if p > slot[1]:
+                        slot[1] = p
+        return {"I": i_acc, "S": s_acc}
     for entry in proj.entries:
         si, ei = entry
         for it, (ks, ps) in pdb[si].index.items():
@@ -340,17 +389,19 @@ def mine_trie(
     wgt_fct: float,
     bound: Bound = "cap",
     trace: list[BoundRecord] | None = None,
-    known: Sequence[USeqTrie] = (),
+    tracked: Sequence[USeqTrie] = (),
 ) -> tuple[USeqTrie, MineStats]:
     """Full pipeline. Returns the verified trie and run statistics.
 
     Ruled-out candidates never reach the scan; ``false_positives`` counts them.
     Under ``bound="exact"`` growth gives every candidate its wes, so no scan
     runs and no candidate is ruled out; it stores what ``"cap"`` stores.
-    A candidate that any ``known`` trie stores, and no bound ruled out, is
-    left unstored too, as a prefix-only node: the result stores none of
-    them, ``known`` counts them and ``survivors`` leaves them out. Every
-    other pattern gets the wes it gets without ``known``.
+    Exact growth also adds ``db``'s wes to every pattern a ``tracked`` trie
+    stores, as ``sup_calc`` would (module docstring), and leaves those
+    candidates unstored, as prefix-only nodes that ``known`` counts and
+    ``survivors`` leaves out. Tracked tries under another bound raise
+    ``MiningError``, and an unweighted tracked item ``MissingWeightError``,
+    before anything changes.
 
     ``min_sup`` is the effective support fraction: callers wanting a
     semi-frequent buffer pass min_sup * mu. It has no upper bound, because an
@@ -360,17 +411,19 @@ def mine_trie(
     check_positive("wgt_fct", wgt_fct)
     if bound not in ("cap", "top", "exact"):
         raise MiningError(f"unknown bound {bound!r}")
+    if tracked and bound != "exact":
+        raise MiningError(f"tracked tries need bound 'exact', not {bound!r}")
+    if (item := unweighted_item(tracked, weights)) is not None:
+        raise MissingWeightError(item)
     stats = MineStats(db_size=db.size)
     t0 = time.perf_counter()
     pdb, stats.wam_acc = preprocess(db, weights)
     min_wes = Thresholds.compute(min_sup, db.size, stats.wam, wgt_fct, 1.0).min_wes
     stats.min_wes = min_wes
     trie = USeqTrie()
-    _grow(pdb, db.sequences, weights, min_wes, bound, trie, stats, trace)
+    _grow(pdb, db.sequences, weights, min_wes, bound, trie, stats, trace, tracked)
     stats.grow_ms = (time.perf_counter() - t0) * 1000.0
     t1 = time.perf_counter()
-    if known:
-        stats.known = _unstore_known(trie, known)
     if bound != "exact":
         # Candidates are stored at wes 0.0, so the scan leaves each at its exact wes.
         trie.prune_below(-math.inf)  # the unverified prefixes left childless
@@ -379,25 +432,6 @@ def mine_trie(
     stats.survivors = stats.candidates - stats.false_positives - stats.known
     stats.verify_ms = (time.perf_counter() - t1) * 1000.0
     return trie, stats
-
-
-def _unstore_known(trie: USeqTrie, known: Sequence[USeqTrie]) -> int:
-    """Make each pattern ``trie`` stores that a ``known`` trie stores too a
-    prefix-only node, walking the tries side by side; returns how many."""
-    count = 0
-    stack = [(trie.root, [t.root for t in known])]
-    while stack:
-        node, others = stack.pop()
-        for key, child in node.children.items():
-            matched = [o for o in (other.children.get(key) for other in others) if o is not None]
-            if not matched:
-                continue
-            if child.wes is not None and any(o.wes is not None for o in matched):
-                child.wes = None
-                count += 1
-            if child.children:
-                stack.append((child, matched))
-    return count
 
 
 def _grow(
@@ -409,6 +443,7 @@ def _grow(
     trie: USeqTrie,
     stats: MineStats,
     trace: list[BoundRecord] | None,
+    tracked: Sequence[USeqTrie],
 ) -> None:
     """Grow every candidate into ``trie``, depth-first from the root.
 
@@ -416,19 +451,19 @@ def _grow(
     entries and their ``open_item``, its trie node (which holds its item and
     kind), its maxpr, largest item weight, item weight sum and length, its
     pattern (only with a trace list), the items it inherits (see the module
-    docstring), its parent's ``wgt_cap`` and, under ``exact``, its rows. The
-    root frame's node is the trie's root. Under ``cap`` and ``top`` a frame
-    holds its slot's entries, and popping it projects them, so projection
-    happens only when a subtree is grown; an ``exact`` frame holds entries
-    its rows already anchored (``_extend_rows``). Every frame then bounds
-    each slot ``determine`` finds among the inherited items, I-items then
-    S-items, each in item order. Each generated one is stored as a child of
-    the frame's node and becomes a frame: under ``exact`` with its wes,
-    otherwise as a prefix only when its own bound rules it out. The frames
-    go on the stack in reverse, so the first is grown first. The stack is
-    explicit, so a long pattern cannot hit Python's recursion limit.
-    ``preprocess`` has looked up every item's weight, so the weight table is
-    read directly.
+    docstring), its parent's ``wgt_cap``, under ``exact`` its rows and their
+    maxima, and its path's ``tracked`` nodes; a frame with no trie node walks
+    only tracked children. The root frame's node is the trie's root. Under
+    ``cap`` and ``top`` a frame holds its slot's entries, and popping it
+    projects them, so projection happens only when a subtree is grown; an
+    ``exact`` frame holds entries its rows already anchored. Every frame then
+    bounds each slot ``determine`` finds among the inherited items, I-items
+    then S-items, each in item order. Each generated one is stored as a child
+    of the frame's node and becomes a frame: under ``exact`` with its wes,
+    otherwise as a prefix only when its own bound rules it out. The frames go
+    on the stack in reverse, so the first is grown first. The stack is
+    explicit, so a long pattern cannot hit Python's recursion limit. The
+    weight table is read directly: ``preprocess`` has looked up every item.
     """
     weight = weights.entries
     root = trie.root
@@ -437,15 +472,17 @@ def _grow(
     floor = min_wes - EPS  # what ``meets`` compares with
     gen_slack = 1.0 + 4 * (len(pdb) + stats.wam_acc.freq_sum + 2) * 2.0**-53  # module docstring
     # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
-    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0, None)]
+    stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0, None,
+              None, [t.root for t in tracked])]
     while stack:
-        entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit, rows = stack.pop()
+        (entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit, rows, bests,
+         marks) = stack.pop()
         proj = ProjectedDB(entries, open_item)
         if node is not root and not exact:
             proj = project(pdb, proj, node.item, node.kind)
         if not proj.entries:
             continue
-        slots = determine(pdb, proj, alive)
+        slots = {} if node is None else determine(pdb, proj, alive, bests)
         # The heaviest item left in the projected suffixes, with or without a
         # slot: the slots' items give a floor, each entry's frontier the rest,
         # and no node's exceeds its parent's (``limit``).
@@ -460,6 +497,11 @@ def _grow(
                         break
                 if wgt_cap == limit:
                     break
+        # The tracked edges out of this path, each with its tracked nodes.
+        edges: dict[tuple[ExtKind, ItemId], list[TrieNode]] = {}
+        for mark in marks:
+            for key, child in mark.children.items():
+                edges.setdefault(key, []).append(child)
         length += 1  # the children's pattern length
         slack = 1.0 + 4 * (len(pdb) + length + 2) * 2.0**-53  # the module docstring's margin
         # What the children inherit, filled as they are generated: the
@@ -469,23 +511,27 @@ def _grow(
         alive_s: set[ItemId] = set()
         alive_i: set[ItemId] = set()
         frames = []
+        rejected = []  # tracked edges generating nothing, with their rows
         for kind, acc in slots.items():
             stats.bounded += len(acc)
             inherit = None if node is root else alive_i if kind == "I" else alive_s
             for item in sorted(acc):
                 prob_sum, prob_max, entries = acc[item]
-                sup = maxpr * prob_sum
+                sup = maxpr * prob_sum if bests is None else prob_sum
                 est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
                 generated = est * gen_slack >= floor
+                nodes = edges.pop((kind, item), None) if edges else None
                 es = None
-                if generated:
+                if generated or nodes:
                     w = weight[item]
                     cw = wsum + w
                     if exact:
-                        es, wes, anchors, child_rows = _extend_rows(
-                            pdb, seqs, node.item, rows, kind, item, entries, cw / length
+                        es, wes, anchors, child_rows, child_bests = _extend_rows(
+                            pdb, seqs, open_item, rows, kind, item, entries, cw / length, nodes
                         )
-                        generated = es * wgt_cap * gen_slack >= floor
+                        generated = generated and es * wgt_cap * gen_slack >= floor
+                        if nodes and not generated:
+                            rejected.append((nodes, item, cw, anchors, child_rows))
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
@@ -496,9 +542,12 @@ def _grow(
                     child = trie.add_child(node, kind, item)
                     if exact:
                         child.wes = wes
+                        if nodes and any(n.wes is not None for n in nodes):
+                            child.wes = None  # tracked: its wes went to the tracked node
+                            stats.known += 1
                         entries, child_open = anchors, item
                     else:
-                        child_rows, child_open = None, proj.open_item
+                        child_rows, child_bests, child_open = None, None, proj.open_item
                         if sup * (cw / length) * slack < floor:
                             child.wes = None  # ruled out: a prefix only
                             stats.ruled_out += 1
@@ -507,10 +556,22 @@ def _grow(
                         alive_s.add(item)
                     frames.append((entries, child_open, child, maxpr * prob_max,
                                    mxw if mxw > w else w, cw, length, pat, inherit, wgt_cap,
-                                   child_rows))
-        stats.candidates += len(frames)
-        if node is root:
+                                   child_rows, child_bests,
+                                   [n for n in nodes if n.children] if nodes else ()))
+        if node is root:  # an edge out of the root with no slot has no occurrence
             prune_index(pdb, alive_s)
+            edges.clear()
+        for (kind, item), nodes in edges.items():  # the tracked edges no slot holds
+            cw = wsum + weight[item]
+            anchors, child_rows = _extend_rows(
+                pdb, seqs, open_item, rows, kind, item, proj.entries, cw / length, nodes)[2:4]
+            rejected.append((nodes, item, cw, anchors, child_rows))
+        for nodes, item, cw, anchors, child_rows in rejected:  # walk only tracked children
+            marks = [n for n in nodes if n.children]
+            if marks and anchors:
+                stack.append((anchors, item, None, 0.0, 0.0, cw, length, None, None, 0.0,
+                              child_rows, None, marks))
+        stats.candidates += len(frames)
         stack.extend(reversed(frames))
 
 
@@ -523,45 +584,57 @@ def _extend_rows(
     item: ItemId,
     entries: Sequence[Entry],
     mean: float,
-) -> tuple[float, float, list[Entry], dict[int, list] | None]:
-    """The exact rows of a pattern extended by ``(kind, item)`` over its
-    slot's ``entries``: returns the extension's expected support, its wes
-    (its mean item weight ``mean``), its projection entries and its rows.
+    nodes: list[TrieNode] | None,
+) -> tuple[float, float, list[Entry], dict[int, list] | None, list[float]]:
+    """The exact rows of a pattern extended by ``(kind, item)`` over
+    ``entries``: returns the extension's expected support, its wes (its mean
+    item weight ``mean``), its projection entries, its rows and their maxima.
+    Each stored node of the tracked ``nodes`` gets each wes term too.
 
     ``rows`` maps each sequence of the pattern's projection to its row (see
     the ``trie`` module docstring). It is None for a root child, whose rows
     are the raw stored index of its item, ``parent``. A child of the root
     itself (``parent`` None) takes its raw index as its rows, whose maximum
     is the rewritten index's first value, so nothing is built. Below the
-    root each row is ``trie.extend_row`` of the parent's. The sums add one
-    best value per sequence in sequence order, as ``sup_calc`` does, so the
-    wes is the one its scan gives, bit for bit. A new row's first event
-    anchors the extension's projection entry, which drops, as ``project``
-    drops it, when it is the final event's last item.
+    root each row is ``trie.extend_row`` of the parent's, skipped, as
+    ``sup_calc`` skips it, where the item cannot follow the row's first
+    event. Every sum adds one term per sequence in sequence order, as
+    ``sup_calc`` does, so each wes is the one its scan gives, bit for bit. A
+    new row's first event anchors the extension's projection entry, which
+    drops, as ``project`` drops it, when it is the final event's last item.
     """
     es = wes = 0.0
     anchors: list[Entry] = []
+    bests: list[float] = []
     child_rows: dict[int, list] | None = None if parent is None else {}
+    stored = [n for n in nodes if n.wes is not None] if nodes else ()
     s_step = kind == "S"
-    for si, _ in entries:
+    for si, ei in entries:
         pseq = pdb[si]
         if parent is None:
             ks, ps = pseq.index[item]
             best, first = ps[0], ks[0]
         else:
             index = seqs[si].index
+            occ = index.get(item)
+            if occ is None or occ[0][-1] < ei + s_step:  # an S-step needs a later event
+                continue
             row = zip(*index[parent]) if rows is None else rows[si]
-            best, row = extend_row(row, index[item], s_step)
+            best, row = extend_row(row, occ, s_step)
             if best <= 0.0:
                 continue
             first = row[0][0]
         es += best
-        wes += best * mean
+        term = best * mean
+        wes += term
+        for n in stored:
+            n.wes += term
         if first != pseq.last_event or item != pseq.last_item:
             anchors.append((si, first))
+            bests.append(best)
             if child_rows is not None:
                 child_rows[si] = row
-    return es, wes, anchors, child_rows
+    return es, wes, anchors, child_rows, bests
 
 
 def fuws(

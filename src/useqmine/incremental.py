@@ -1,17 +1,17 @@
 """Incremental maintenance of the weighted frequent set as a database grows.
 
-Two strategies share one state object and one fold (``_fold``): it rejects
-an item without a weight, on a trie edge or in the increment, before any
-state changes; then the WAM sums grow, every tracked pattern, in both tries,
-gets the increment's contributions in one scan per trie, and the database
-size grows with it.
+Two strategies share one state object, and each step folds the increment:
+it rejects an item without a weight, on a trie edge or in the increment,
+before any state changes; then every tracked pattern, in both tries, gets
+the increment's contributions, and the WAM sums and the database size grow.
 
-* ``uwsinc_step``: rescan nothing; fold the increment, then drop from
-  ``seq_trie`` what fell under the buffered threshold minWES'. Dropped
-  patterns are gone for good. It keeps no promising buffer, and empties one
-  loaded from a uwsinc+ checkpoint.
-* ``uwsincplus_step``: additionally mine the increment itself for locally
-  frequent patterns. One rule then places every tracked pattern and every
+* ``uwsinc_step``: rescan nothing; fold the increment with one ``sup_calc``
+  scan, then drop from ``seq_trie`` what fell under the buffered threshold
+  minWES'. Dropped patterns are gone for good. It keeps no promising
+  buffer, and empties one loaded from a uwsinc+ checkpoint.
+* ``uwsincplus_step``: mine the increment itself for locally frequent
+  patterns, in the same walk that folds it into both tries (``mine_trie``
+  with ``tracked``). One rule then places every tracked pattern and every
   locally frequent newcomer: ``seq_trie`` if it meets minWES', else the
   "promising" ``pfs_trie`` if it meets the local threshold, else neither. So
   patterns that surge later can still be picked up.
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from . import dataio
 from .fuws import mine_trie
 from .model import (
-    ItemId,
     MiningError,
     MiningParams,
     MissingWeightError,
@@ -44,7 +43,7 @@ from .model import (
     check_nonnegative,
     meets,
 )
-from .trie import USeqTrie, sup_calc
+from .trie import USeqTrie, sup_calc, unweighted_item
 
 
 @dataclass
@@ -79,35 +78,17 @@ def init_mining(
     )
 
 
-def _unweighted(tries: tuple[USeqTrie, ...], weights: WeightTable) -> ItemId | None:
-    """The least item on an edge of ``tries`` that ``weights`` lacks, if any."""
-    held: set[ItemId] = set()
-    stack = [trie.root for trie in tries]
-    while stack:
-        for (_, item), child in stack.pop().children.items():
-            held.add(item)
-            stack.append(child)
-    return min(held - weights.entries.keys(), default=None)
-
-
-def _fold(state: IncrementalState, delta: UncertainDatabase) -> Thresholds:
-    """Add ``delta`` to the database counts and to every tracked pattern;
-    returns the thresholds over the grown database. An unweighted item, on a
-    trie edge or in ``delta``, raises ``MissingWeightError`` first."""
-    if (item := _unweighted((state.seq_trie, state.pfs_trie), state.weights)) is not None:
+def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
+    """Fold one increment into the tracked set with one ``sup_calc`` scan;
+    returns the frequent patterns. An unweighted item, on a trie edge or in
+    ``delta``, raises ``MissingWeightError`` before any state changes."""
+    if (item := unweighted_item((state.seq_trie, state.pfs_trie), state.weights)) is not None:
         raise MissingWeightError(item)
     state.wam_acc.add(delta, state.weights)
-    for trie in (state.seq_trie, state.pfs_trie):
-        if trie.root.children:
-            sup_calc(trie, delta, state.weights)
+    state.pfs_trie = USeqTrie()  # only now: nothing can refuse delta any more
+    sup_calc(state.seq_trie, delta, state.weights)
     state.db_size += delta.size
-    return state.thresholds()
-
-
-def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
-    """Fold one increment into the tracked set; returns the frequent patterns."""
-    th = _fold(state, delta)
-    state.pfs_trie = USeqTrie()  # after the fold, which may still reject delta
+    th = state.thresholds()
     state.seq_trie.prune_below(th.min_wes_prime)
     return state.seq_trie.collect(th.min_wes)
 
@@ -115,27 +96,32 @@ def uwsinc_step(state: IncrementalState, delta: UncertainDatabase) -> list[Score
 def uwsincplus_step(state: IncrementalState, delta: UncertainDatabase) -> list[ScoredPattern]:
     """Fold one increment, keeping the promising buffer; returns the frequent set.
 
-    The local mine runs first and rejects an unweighted item before any state
-    changes. It runs under ``bound="exact"``, so growth gives each candidate
-    its wes in ``delta`` and no scan runs. A tracked pattern keeps its longer
-    history, read from the fold, so the local mine stores only the
-    newcomers; each enters with its support in ``delta`` alone. The mine and
-    the fold share one count of ``delta``'s item frequencies.
+    The local mine, exact with both tries tracked, is the fold: one walk over
+    ``delta`` gives each candidate its wes in ``delta`` and adds ``delta``'s
+    wes to every tracked pattern. It rejects an unweighted item before any
+    state changes. It stores only newcomers, each with its support in
+    ``delta`` alone. Placement builds a pattern only for one that moves. The
+    mine and the WAM sums share one count of ``delta``'s item frequencies.
     """
     p = state.params
     seq, pfs = state.seq_trie, state.pfs_trie
     lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct,
-                                bound="exact", known=(seq, pfs))
-    th = _fold(state, delta)
-    placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
-    placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()]
-    for pat, wes, trie in placed:
-        home = seq if meets(wes, th.min_wes_prime) else pfs if meets(wes, local.min_wes) else None
-        if home is not trie:
-            if trie is not None:
-                trie.remove(pat)
-            if home is not None:
-                home.insert(pat, wes)
+                                bound="exact", tracked=(seq, pfs))
+    state.wam_acc.add(delta, state.weights)
+    state.db_size += delta.size
+    th = state.thresholds()
+
+    def home(wes: float) -> USeqTrie | None:
+        return seq if meets(wes, th.min_wes_prime) else pfs if meets(wes, local.min_wes) else None
+
+    moves = [(pat, wes, seq) for pat, wes in seq.patterns(lambda wes: home(wes) is not seq)]
+    moves += [(pat, wes, pfs) for pat, wes in pfs.patterns(lambda wes: home(wes) is not pfs)]
+    moves += [(pat, wes, None) for pat, wes in lfs_trie.patterns()]
+    for pat, wes, trie in moves:
+        if trie is not None:
+            trie.remove(pat)
+        if (to := home(wes)) is not None:
+            to.insert(pat, wes)
     return seq.collect(th.min_wes)
 
 
@@ -238,7 +224,7 @@ def load_state(path: str, weights: WeightTable) -> IncrementalState:
     for pat, _ in pfs_trie.patterns():
         if pat in seq_trie:
             raise MiningError(f"checkpoint holds {dataio.format_pattern(pat)} in both tries")
-    if (item := _unweighted((seq_trie, pfs_trie), weights)) is not None:
+    if (item := unweighted_item((seq_trie, pfs_trie), weights)) is not None:
         raise MiningError(f"checkpoint {path} holds item {item!r}, which has no weight")
     return IncrementalState(
         seq_trie=seq_trie,

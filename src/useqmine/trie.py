@@ -143,19 +143,23 @@ class USeqTrie:
             if depth:
                 yield depth, parent, node
 
-    def patterns(self):
-        """Yield (Pattern, wes) in depth-first order, I-edges before S-edges."""
-        path: list[Pattern] = []
+    def patterns(self, keep=None) -> Iterator[tuple[Pattern, float]]:
+        """Yield (Pattern, wes) in depth-first order, I-edges before S-edges,
+        for every stored pattern or, given ``keep``, each whose wes it accepts.
+        Only those get a Pattern, built from their path of nodes."""
+        path: list[TrieNode] = []
         for depth, _, node in self._preorder():
             del path[depth - 1 :]
-            path.append(extend(path[-1], node.item, node.kind) if path else single(node.item))
-            if node.wes is not None:
-                yield path[-1], node.wes
+            path.append(node)
+            if node.wes is not None and (keep is None or keep(node.wes)):
+                pat = single(path[0].item)
+                for step in path[1:]:
+                    pat = extend(pat, step.item, step.kind)
+                yield pat, node.wes
 
     def collect(self, min_wes: float) -> list[ScoredPattern]:
-        return [
-            ScoredPattern(pat, wes) for pat, wes in self.patterns() if meets(wes, min_wes)
-        ]
+        return [ScoredPattern(pat, wes)
+                for pat, wes in self.patterns(lambda wes: meets(wes, min_wes))]
 
     def prune_below(self, min_wes: float) -> int:
         """Drop every stored pattern with wes < min_wes - EPS; returns count.
@@ -245,6 +249,12 @@ class USeqTrie:
         if len(stack) > 1 and stack[-1].wes is None:
             raise error(last, "'-' node has no child")
         return trie
+
+
+def unweighted_item(tries: Iterable[USeqTrie], weights: WeightTable) -> ItemId | None:
+    """The least item on an edge of ``tries`` that ``weights`` lacks, if any."""
+    held = {node.item for trie in tries for _, _, node in trie._preorder()}
+    return min(held - weights.entries.keys(), default=None)
 
 
 _END = (sys.maxsize, 0.0)  # past every event position

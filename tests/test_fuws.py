@@ -584,14 +584,14 @@ class TestFuws:
     other=databases(),
     weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
     min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
-    bound=st.sampled_from(["cap", "top", "exact"]),
     data=st.data(),
 )
-def test_known_patterns_are_left_unverified(db, other, weights, min_sup, bound, data):
-    # One known trie holds some of the mine's own patterns, the other a mine
-    # of another database; inserting a pattern leaves its prefixes unstored.
+def test_known_patterns_are_left_unverified(db, other, weights, min_sup, data):
+    # One tracked trie holds some of the mine's own patterns, the other a
+    # mine of another database; inserting a pattern leaves its prefixes
+    # unstored. Only the exact mine takes tracked tries.
     wt = WeightTable(dict(zip(DB_ITEMS, weights)))
-    full_trie, full = mine_trie(db, wt, min_sup, 1.0, bound=bound)
+    full_trie, full = mine_trie(db, wt, min_sup, 1.0, bound="exact")
     want = dict(full_trie.patterns())
     mine_own = USeqTrie()
     if want:
@@ -600,7 +600,7 @@ def test_known_patterns_are_left_unverified(db, other, weights, min_sup, bound, 
     mine_other, _ = mine_trie(other, wt, min_sup, 1.0)
     known = {pat for t in (mine_own, mine_other) for pat, _ in t.patterns()}
 
-    trie, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound, known=(mine_own, mine_other))
+    trie, stats = mine_trie(db, wt, min_sup, 1.0, bound="exact", tracked=(mine_own, mine_other))
     got = dict(trie.patterns())
     assert not set(got) & known
     # Every other pattern keeps a bit-identical wes.
@@ -637,10 +637,11 @@ def test_exact_rows_store_what_the_scan_verifies(db, weights, min_sup):
     plain_trie, plain = mine_trie(db, wt, min_sup, 1.0, bound="exact")
     assert plain_trie.snapshot() == exact_trie.snapshot()
     assert (plain.candidates, plain.bounded) == (exact.candidates, len(trace))
-    # Rows are built exactly where the cap bound generates.
+    # Rows are built exactly where the bound generates: cap at the root,
+    # the row-weighted bound, traced as ``exp_sup_cap``, below it.
     slack = gen_slack(db, preprocess(db, wt)[1])
-    cap_passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap * slack >= exact.min_wes - EPS]
-    assert [r.exp_sup is not None for r in trace] == [r in cap_passing for r in trace]
+    passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap * slack >= exact.min_wes - EPS]
+    assert [r.exp_sup is not None for r in trace] == [r in passing for r in trace]
 
 
 @settings(max_examples=150, deadline=None)

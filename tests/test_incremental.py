@@ -30,6 +30,8 @@ from useqmine import (
 )
 from useqmine import incremental
 from useqmine.fuws import mine_trie
+from useqmine.model import s_weight
+from useqmine.oracle import _max_pr_enum
 from useqmine.trie import sup_calc
 
 from conftest import (
@@ -406,12 +408,17 @@ def test_placement_rule_matches_three_loops():
 
 def full_local_mine_step(state, delta):
     """``uwsincplus_step`` with a local mine that verifies every candidate,
-    the tracked ones too, and a placement that skips what is tracked; the
-    reference the ``known=`` local mine must match."""
+    the tracked ones too, a fold by one ``sup_calc`` scan per trie and a
+    placement that skips what is tracked; the reference the local mine that
+    folds ``delta`` into the tracked tries must match."""
     p = state.params
     lfs_trie, local = mine_trie(delta, state.weights, p.lwes_factor * p.min_sup * p.mu, p.wgt_fct)
-    th = incremental._fold(state, delta)
     seq, pfs = state.seq_trie, state.pfs_trie
+    state.wam_acc.add(delta, state.weights)
+    for trie in (seq, pfs):
+        sup_calc(trie, delta, state.weights)
+    state.db_size += delta.size
+    th = state.thresholds()
     placed = [(pat, wes, trie) for trie in (seq, pfs) for pat, wes in trie.patterns()]
     placed += [(pat, wes, None) for pat, wes in lfs_trie.patterns()
                if pat not in seq and pat not in pfs]
@@ -826,10 +833,12 @@ class IncrementalMachine(RuleBasedStateMachine):
         seq = dict(self.state.seq_trie.patterns())
         pfs = dict(self.state.pfs_trie.patterns())
         assert not set(seq) & set(pfs)
+        # ``oracle_wes`` by its own steps, with each sequence's event maps built once per check.
+        maps = [s.event_maps() for s in self.db.sequences]
         for trie, held in ((self.state.seq_trie, seq), (self.state.pfs_trie, pfs)):
             assert USeqTrie.from_snapshot(trie.snapshot()).snapshot() == trie.snapshot()
             for pat, wes in held.items():
-                truth = oracle_wes(pat, self.db, self.weights)
+                truth = sum(_max_pr_enum(pat, m) for m in maps) * s_weight(pat, self.weights)
                 assert wes <= truth + 1e-9
                 if not self.plus_ran and held is seq:
                     assert wes == pytest.approx(truth, abs=1e-9)

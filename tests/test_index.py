@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
+    MiningError,
+    MissingWeightError,
     Pattern,
     ProjectedDB,
+    UncertainDatabase,
+    USequence,
     USeqTrie,
     WeightTable,
     max_pr_dynamic,
@@ -23,6 +27,7 @@ from useqmine import (
     sup_calc,
 )
 from useqmine.fuws import prune_index
+from useqmine.model import EPS
 
 from conftest import DB_ITEMS, databases, itemsets, random_db, random_weights, slots
 
@@ -362,3 +367,93 @@ def test_exact_mine_stores_the_dense_recurrence_bit_for_bit(db, min_sup):
     trie, _ = mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", trace=trace)
     for pat, wes in trie.patterns():
         assert wes == dense_wes(pat, db, WEIGHTS, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    db=databases(last_min_size=2),
+    alive=st.none() | st.sets(st.sampled_from(DB_ITEMS)),
+)
+def test_unit_row_maxima_give_determines_slots(data, db, alive):
+    # With every entry's best value 1.0 the exact frames' slot pass is
+    # ``determine``'s own, slot for slot.
+    pdb, _ = preprocess(db, WEIGHTS)
+    proj = root_projection(pdb)
+    for _ in range(5):
+        want = fuws.determine(pdb, proj, alive)
+        assert fuws.determine(pdb, proj, alive, [1.0] * len(proj.entries)) == want
+        cands = slots(pdb, proj, alive)
+        if not cands:
+            break
+        pick = data.draw(st.sampled_from(cands))
+        proj = project(pdb, proj, pick.item, pick.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db=databases(items=DENSE_ITEMS) | databases(last_min_size=2, items=DENSE_ITEMS),
+    min_sup=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_row_weighted_bound_drops_no_candidate(db, min_sup):
+    # The exact mine bounds slots below the root by their entries' row
+    # maxima, not by maxpr; it must still generate every slot cap generates
+    # whose expected support passes the exact test, and nothing else.
+    cap_trace, exact_trace = [], []
+    _, stats = mine_trie(db, WEIGHTS, min_sup, 1.0, trace=cap_trace)
+    mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", trace=exact_trace)
+    slack = 1.0 + 4 * (db.size + stats.wam_acc.freq_sum + 2) * 2.0**-53
+    ones = DenseCheckedTrace.ONES
+    want = {
+        r.pattern for r in cap_trace
+        if r.generated and dense_wes(r.pattern, db, ones, 0.0) * r.wgt_cap * slack
+        >= stats.min_wes - EPS
+    }
+    assert {r.pattern for r in exact_trace if r.generated} == want
+
+
+def tracked_tries(*stored):
+    tries = []
+    for patterns_wes in stored:
+        trie = USeqTrie()
+        for pat, wes in patterns_wes.items():
+            trie.insert(pat, wes)
+        tries.append(trie)
+    return tries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=databases(items=DENSE_ITEMS) | databases(max_events=3),
+    seq=st.dictionaries(wide_patterns, st.sampled_from([0.0, 0.375, 2.5]), max_size=8),
+    pfs=st.dictionaries(wide_patterns, st.sampled_from([0.0, 0.375, 2.5]), max_size=8),
+    min_sup=st.sampled_from([0.05, 0.3, 0.8]),
+)
+def test_exact_mine_folds_tracked_tries_as_sup_calc_does(db, seq, pfs, min_sup):
+    # The tracked tries hold patterns no sequence holds (f and g), prefixes
+    # that are not stored, I-edges below depth 1 and, mostly at min_sup 0.8,
+    # items the root does not generate; each stored wes must come out as
+    # ``sup_calc`` leaves it, bit for bit, and the tries keep their shape.
+    tries = tracked_tries(seq, {pat: wes for pat, wes in pfs.items() if pat not in seq})
+    want = [USeqTrie.from_snapshot(trie.snapshot()) for trie in tries]
+    for trie in want:
+        sup_calc(trie, db, WEIGHTS)
+    # An unweighted tracked item is refused before any wes changes.
+    unweighted = USeqTrie.from_snapshot(tries[0].snapshot())
+    unweighted.insert(Pattern((("a",), ("z",))), 1.0)
+    before = [t.snapshot() for t in (unweighted, tries[1])]
+    with pytest.raises(MissingWeightError, match="'z'"):
+        mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", tracked=(unweighted, tries[1]))
+    assert [t.snapshot() for t in (unweighted, tries[1])] == before
+
+    mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", tracked=tries)
+    assert [trie.snapshot() for trie in tries] == [trie.snapshot() for trie in want]
+
+
+@pytest.mark.parametrize("bound", ["cap", "top"])
+def test_tracked_tries_need_the_exact_bound(bound):
+    db = UncertainDatabase((USequence([[("a", 0.5)], [("b", 0.25)]]),))
+    (trie,) = tracked_tries({Pattern((("a",), ("b",))): 1.0})
+    with pytest.raises(MiningError, match="tracked tries need bound 'exact'"):
+        mine_trie(db, WEIGHTS, 0.1, 1.0, bound=bound, tracked=(trie,))
+    assert trie.get_wes(Pattern((("a",), ("b",)))) == 1.0
