@@ -156,15 +156,16 @@ class SplitSpec:
 
 def draw_fractions(ratio_range: tuple[float, float], count: int, seed: int) -> tuple[float, ...]:
     """``count`` increment fractions drawn uniformly from ``ratio_range`` by
-    the pinned generator seeded with ``seed``."""
+    the pinned generator seeded with ``seed``. A bool is refused as a count
+    or a range end, as it is as a seed."""
     try:
         lo, hi = ratio_range
-        ok = 0.0 < lo <= hi < math.inf
+        ok = bool not in (type(lo), type(hi)) and 0.0 < lo <= hi < math.inf
     except (TypeError, ValueError):  # not a pair, or not numbers
         ok = False
     if not ok:
         raise MiningError(f"bad ratio range: {ratio_range!r}")
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise MiningError(f"count must be a positive int: {count!r}")
     _check_seed(seed)
     rng = Xoshiro256StarStar(seed)
@@ -208,10 +209,10 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
     token, which its occurrences then share) and probability range are
     checked in turn, then the event's repeated items.
 
-    One walk of a line's tokens feeds ``_fill``, behind a check that ``-2``
-    ends the line once, right after a ``-1``; the walk refuses an empty event.
-    On any refusal ``_events``, the one grammar, reads the line again, so a
-    grammar error wins."""
+    One walk of a line's tokens feeds ``_fill``, behind a check that the line
+    ends ``-1 -2``; the walk refuses an empty event, and an earlier ``-2`` as
+    a malformed token. On any refusal ``_events``, the one grammar, reads the
+    line again, so a grammar error wins."""
     seen: dict[str, ItemId] = {}
 
     def events(tokens: list[str]) -> Iterator[list[tuple[ItemId, float]]]:
@@ -241,7 +242,7 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
         if not tokens:
             continue
         try:
-            if tokens[-2:] != ["-1", "-2"] or tokens.count("-2") != 1:
+            if tokens[-2:] != ["-1", "-2"]:
                 _events(tokens)  # raises this line's grammar error
             sequences.append(USequence.of(events(tokens)))
         except MiningError as exc:

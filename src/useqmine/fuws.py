@@ -38,23 +38,22 @@ Both bounds are computed in one place, the loop of ``_grow``.
 A slot is generated when ``est * gen_slack`` meets the floor ``min_wes -
 EPS``. A candidate's own bound is est_sup, under either bound, times its own
 mean item weight m (the float the scan's plan computes), much tighter than
-``est``. A generated candidate whose own bound times ``slack`` is below the
-floor is ruled out: growth still counts and grows it (a descendant can be
-heavier), but stores it as a prefix-only node, which no scan verifies.
+``est``. A generated candidate whose own bound times ``gen_slack`` is below
+the floor is ruled out: growth still counts and grows it (a descendant can
+be heavier), but stores it as a prefix-only node, which no scan verifies.
 
-The margins: with u = 2**-53 and n sequences, a pattern of L items has a
+The margin: with u = 2**-53 and n sequences, a pattern of L items has a
 float wes (per term L - 1 products of probabilities, L - 1 sums of weights,
 a division and a product; n - 1 sums) at most (1 + u)**(n + 2L) times its
 real wes, itself at most the real bound, and a float bound (at most L - 1
 products in maxpr, n - 1 sums, two more products) is at least
-(1 - u)**(n + L) times the real one. ``1 + 4(n + L + 2)u``, exact in binary,
-covers their ratio, about 1 + (2n + 3L)u, and its own product's rounding.
-``slack`` takes the candidate's length, so a ruled-out candidate misses the
-floor when verified too. ``gen_slack``, one per mine, takes the database's
-item occurrences F (``wam_acc.freq_sum``): an embedding maps each item to
-its own occurrence, so no pattern on a branch is longer, and a generate test
-never drops a branch holding a pattern the scan would store, even where the
-bound ties the floor.
+(1 - u)**(n + L) times the real one. ``gen_slack``, ``1 + 4(n + F + 2)u``
+and exact in binary, covers their ratio, about 1 + (2n + 3L)u, and its own
+product's rounding, F being the database's item occurrences
+(``wam_acc.freq_sum``): an embedding maps each item to its own occurrence,
+so no pattern is longer. So a generate test never drops a branch holding a
+pattern the scan would store, even where the bound ties the floor, and a
+ruled-out candidate misses the floor when verified too.
 
 ``bound="exact"`` carries each pattern's rows (see the ``trie`` module
 docstring) and their maxima b_s, one per sequence, through growth. Below the
@@ -135,10 +134,6 @@ class PSequence:
     # suffix-max probability at each position), ordered by (the item's last
     # position, the item), latest first.
     index: dict[ItemId, tuple[tuple[int, ...], tuple[float, ...]]]
-    # The final event's position and largest item: an anchor on that item
-    # there has nothing left to extend into.
-    last_event: int
-    last_item: ItemId
     # The items, pruned or not, that can be the heaviest one left in a
     # suffix, as (weight, last position, item), heaviest first.
     frontier: tuple[tuple[float, int, ItemId], ...]
@@ -240,7 +235,7 @@ def _index_sequence(seq: USequence, weight: dict[ItemId, float], shared: dict) -
     stored = shared.get(frontier)
     if stored is None:
         stored = shared[frontier] = tuple([shared.setdefault(entry, entry) for entry in frontier])
-    return PSequence(index, seq.n_events - 1, items[0][0], stored)
+    return PSequence(index, stored)
 
 
 def prune_index(pdb: PreprocessedDB, keep: set[ItemId]) -> None:
@@ -351,7 +346,10 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
 
     After the suffix-max rewrite the first occurrence carries the largest
     remaining probability, and its suffix contains every later anchor, so
-    nothing reachable is lost. Entries with an empty remaining suffix drop.
+    nothing reachable is lost. An entry with nothing left after its anchor,
+    one at its final event's last item, stays: anchors sit only on items
+    ``prune_index`` keeps, so that item heads the index, and ``determine``
+    stops there without a slot. An entry lacking the item drops.
 
     The occurrence is found by bisecting the item's event positions: an
     I-extension first takes the item inside the open event when it sorts
@@ -363,8 +361,7 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
     out: list[Entry] = []
     open_item = proj.open_item
     for si, ei in proj.entries:
-        seq = pdb[si]
-        occ = seq.index.get(item)
+        occ = pdb[si].index.get(item)
         if occ is None:
             continue
         ks = occ[0]
@@ -375,8 +372,6 @@ def project(pdb: PreprocessedDB, proj: ProjectedDB, item: ItemId, kind: ExtKind)
             k = ks[j]
         else:
             continue
-        if k == seq.last_event and item == seq.last_item:
-            continue  # nothing left to extend into
         out.append((si, k))
     # The extension item ends the open itemset under either edge kind.
     return ProjectedDB(tuple(out), item)
@@ -503,7 +498,6 @@ def _grow(
             for key, child in mark.children.items():
                 edges.setdefault(key, []).append(child)
         length += 1  # the children's pattern length
-        slack = 1.0 + 4 * (len(pdb) + length + 2) * 2.0**-53  # the module docstring's margin
         # What the children inherit, filled as they are generated: the
         # S-items generated here, and for an I-child also the I-items. The
         # root level is bounded on the full index; its children read an index
@@ -527,7 +521,7 @@ def _grow(
                     cw = wsum + w
                     if exact:
                         es, wes, anchors, child_rows, child_bests = _extend_rows(
-                            pdb, seqs, open_item, rows, kind, item, entries, cw / length, nodes
+                            seqs, open_item, rows, kind, item, entries, cw / length, nodes
                         )
                         generated = generated and es * wgt_cap * gen_slack >= floor
                         if nodes and not generated:
@@ -548,7 +542,7 @@ def _grow(
                         entries, child_open = anchors, item
                     else:
                         child_rows, child_bests, child_open = None, None, proj.open_item
-                        if sup * (cw / length) * slack < floor:
+                        if sup * (cw / length) * gen_slack < floor:
                             child.wes = None  # ruled out: a prefix only
                             stats.ruled_out += 1
                     alive_i.add(item)
@@ -564,7 +558,7 @@ def _grow(
         for (kind, item), nodes in edges.items():  # the tracked edges no slot holds
             cw = wsum + weight[item]
             anchors, child_rows = _extend_rows(
-                pdb, seqs, open_item, rows, kind, item, proj.entries, cw / length, nodes)[2:4]
+                seqs, open_item, rows, kind, item, proj.entries, cw / length, nodes)[2:4]
             rejected.append((nodes, item, cw, anchors, child_rows))
         for nodes, item, cw, anchors, child_rows in rejected:  # walk only tracked children
             marks = [n for n in nodes if n.children]
@@ -576,7 +570,6 @@ def _grow(
 
 
 def _extend_rows(
-    pdb: PreprocessedDB,
     seqs: Sequence[USequence],
     parent: ItemId | None,
     rows: dict[int, list] | None,
@@ -594,14 +587,15 @@ def _extend_rows(
     ``rows`` maps each sequence of the pattern's projection to its row (see
     the ``trie`` module docstring). It is None for a root child, whose rows
     are the raw stored index of its item, ``parent``. A child of the root
-    itself (``parent`` None) takes its raw index as its rows, whose maximum
-    is the rewritten index's first value, so nothing is built. Below the
-    root each row is ``trie.extend_row`` of the parent's, skipped, as
+    itself (``parent`` None) takes its raw stored index as its rows, so
+    nothing is built, and their maximum is its largest probability. Below
+    the root each row is ``trie.extend_row`` of the parent's, skipped, as
     ``sup_calc`` skips it, where the item cannot follow the row's first
     event. Every sum adds one term per sequence in sequence order, as
     ``sup_calc`` does, so each wes is the one its scan gives, bit for bit. A
-    new row's first event anchors the extension's projection entry, which
-    drops, as ``project`` drops it, when it is the final event's last item.
+    new row's first event anchors the extension's projection entry; as in
+    ``project``, an entry with nothing left after it stays, and ``determine``
+    finds no slot there.
     """
     es = wes = 0.0
     anchors: list[Entry] = []
@@ -610,12 +604,11 @@ def _extend_rows(
     stored = [n for n in nodes if n.wes is not None] if nodes else ()
     s_step = kind == "S"
     for si, ei in entries:
-        pseq = pdb[si]
+        index = seqs[si].index
         if parent is None:
-            ks, ps = pseq.index[item]
-            best, first = ps[0], ks[0]
+            ks, ps = index[item]
+            best, first = max(ps), ks[0]
         else:
-            index = seqs[si].index
             occ = index.get(item)
             if occ is None or occ[0][-1] < ei + s_step:  # an S-step needs a later event
                 continue
@@ -624,16 +617,14 @@ def _extend_rows(
             if best <= 0.0:
                 continue
             first = row[0][0]
+            child_rows[si] = row
         es += best
         term = best * mean
         wes += term
         for n in stored:
             n.wes += term
-        if first != pseq.last_event or item != pseq.last_item:
-            anchors.append((si, first))
-            bests.append(best)
-            if child_rows is not None:
-                child_rows[si] = row
+        anchors.append((si, first))
+        bests.append(best)
     return es, wes, anchors, child_rows, bests
 
 

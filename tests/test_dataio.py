@@ -497,6 +497,8 @@ class TestSplit:
             pytest.param(lambda: draw_fractions((0.2, 0.6), 2, 2**64), id="seed-past-64-bits"),
             pytest.param(lambda: draw_fractions(0.5, 2, 1), id="range-not-a-pair"),
             pytest.param(lambda: draw_fractions(("a", "b"), 2, 1), id="range-not-numbers"),
+            pytest.param(lambda: draw_fractions((0.2, 0.6), True, 1), id="count-a-bool"),
+            pytest.param(lambda: draw_fractions((True, True), 2, 1), id="range-of-bools"),
         ],
     )
     def test_wrong_types_refused(self, build):

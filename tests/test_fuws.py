@@ -82,8 +82,6 @@ class TestPreprocess:
             positions = {it: ks for it, (ks, _) in seq.index.items()}
             assert pseq.index.keys() == positions.keys()
             assert all(pseq.index[it][0] is ks for it, ks in positions.items())
-            assert pseq.last_event == len(seq.events) - 1
-            assert pseq.last_item == seq.events[-1].items[-1].item
 
     def test_wam_is_the_accumulator_mean(self, tmp_path):
         # Summing weights per occurrence (0.3 + 0.7 + 0.3) rounds differently
@@ -116,11 +114,12 @@ class TestDetermine:
 
     def test_projection_after_ac(self, sample_db, sample_weights):
         # Suffixes after the first (a c) event: three non-empty projections,
-        # and the best b probabilities are 0.3, 0.3, 0.1.
+        # and the best b probabilities are 0.3, 0.3, 0.1. Sequence 5's (a c)
+        # ends at its final event's last item, a dead end that stays an entry.
         pdb, _ = preprocess(sample_db, sample_weights)
         proj = project(pdb, root_projection(pdb), "a", "S")
         proj = project(pdb, proj, "c", "I")
-        assert len(proj.entries) == 3
+        assert len(proj.entries) == 4 and proj.entries[-1] == (4, 3)
         cands = slots(pdb, proj)
         by_item = {(c.kind, c.item): c for c in cands}
         assert by_item[("S", "b")].prob_sum == pytest.approx(0.7)
@@ -131,7 +130,11 @@ class TestDetermine:
         proj = root_projection(pdb)
         for item, kind in [("c", "S"), ("a", "S"), ("b", "S"), ("d", "S")]:
             proj = project(pdb, proj, item, kind)
-        assert proj.entries == ()
+        # Only dead ends are left: each entry sits on its final event's last item.
+        assert proj.entries
+        for si, ei in proj.entries:
+            events = sample_db.sequences[si].events
+            assert ei == len(events) - 1 and events[-1].items[-1].item == proj.open_item
         cands = slots(pdb, proj)
         assert cands == [] and max_weight(cands, sample_weights) == 0.0
 
@@ -356,14 +359,14 @@ def test_mine_matches_unpruned_reference_growth(db, weights, min_sup, bound):
 )
 def test_ruled_out_candidates_are_below_the_floor(db, weights, min_sup, bound):
     # Growth rules out a generated candidate whose cap support bound times
-    # its mean item weight, with the rounding margin, is below the floor. It
-    # is never scanned, so its brute-force wes must miss the floor too.
+    # its mean item weight, with the generation slack, is below the floor.
+    # It is never scanned, so its brute-force wes must miss the floor too.
     wt = WeightTable(dict(zip(DB_ITEMS, weights)))
     trace = []
     _, stats = mine_trie(db, wt, min_sup, 1.0, bound=bound, trace=trace)
+    slack = gen_slack(db, stats.wam_acc)
     ruled_out = []
     for rec in trace:
-        slack = 1.0 + 4 * (db.size + rec.pattern.length + 2) * 2.0**-53
         own = rec.exp_sup_cap * s_weight(rec.pattern, wt) * slack
         if rec.generated and not meets(own, stats.min_wes):
             ruled_out.append(rec.pattern)

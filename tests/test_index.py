@@ -5,7 +5,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
@@ -47,8 +47,8 @@ def project_linear(db, proj, item, kind):
             pos = ei
         if pos is None:
             pos = next((k for k in range(ei + 1, len(events)) if item in events[k]), None)
-        if pos is None or (pos == len(events) - 1 and events[pos][-1] == item):
-            continue  # absent, or nothing left to extend into
+        if pos is None:
+            continue  # absent
         out.append((si, pos))
     return ProjectedDB(tuple(out), item)
 
@@ -194,6 +194,35 @@ def test_determine_on_pruned_index_matches_event_walk(data, db, keep, alive):
             break
         pick = data.draw(st.sampled_from(cands))
         proj = project(pdb, proj, pick.item, pick.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases() | databases(last_min_size=2), extra=st.sets(st.sampled_from(DB_ITEMS)))
+def test_a_dead_end_yields_nothing(db, extra):
+    # Anchors sit only on items the root generated, which its ``prune_index``
+    # keeps. An entry at its final event's last item, which ``project`` keeps,
+    # then finds that item heading its index: ``determine`` stops there with
+    # no slot, and the frontier scan finds no item left after it, so
+    # ``wgt_cap`` stays at the frame's own weight ``mxw``.
+    pdb, _ = preprocess(db, WEIGHTS)
+    finals = [seq.events[-1].items[-1].item for seq in db.sequences]
+    prune_index(pdb, set(finals) | extra)
+    for item in set(finals):
+        entries = tuple(
+            (si, len(seq.events) - 1) for si, seq in enumerate(db.sequences) if finals[si] == item
+        )
+        proj = ProjectedDB(entries, item)
+        assert all(next(iter(pdb[si].index)) == item for si, _ in entries)
+        assert fuws.determine(pdb, proj) == {"I": {}, "S": {}}
+        mxw = wgt_cap = 0.0  # the lightest frame, so the scan reads every frontier item
+        for si, ei in entries:  # ``_grow``'s frontier scan
+            for w, last, it in pdb[si].frontier:
+                if w <= wgt_cap:
+                    break
+                if last > ei or (last == ei and it > item):
+                    wgt_cap = w
+                    break
+        assert wgt_cap == mxw
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,21 +424,32 @@ def test_unit_row_maxima_give_determines_slots(data, db, alive):
     db=databases(items=DENSE_ITEMS) | databases(last_min_size=2, items=DENSE_ITEMS),
     min_sup=st.sampled_from([0.05, 0.1, 0.3]),
 )
+@example(  # (a c)(a c) embeds in the first sequence only, and b, the heaviest
+    # item, is left only in the second: exact's wgt_cap is 0.9 where cap's is 1.0
+    db=UncertainDatabase((
+        USequence([[("a", 0.5), ("c", 0.625)], [("a", 0.625), ("c", 0.875)]]),
+        USequence([[("a", 1.0)], [("a", 1.0)], [("a", 1.0)], [("c", 1.0)], [("a", 1.0)],
+                   [("b", 1.0)]]),
+    )),
+    min_sup=0.1,
+)
 def test_row_weighted_bound_drops_no_candidate(db, min_sup):
     # The exact mine bounds slots below the root by their entries' row
-    # maxima, not by maxpr; it must still generate every slot cap generates
-    # whose expected support passes the exact test, and nothing else.
+    # maxima, not by maxpr; it must still generate every slot whose expected
+    # support passes the exact test, and nothing else. That test reads the
+    # exact frame's own wgt_cap: its entries are real embeddings, so it can
+    # be below the wgt_cap of cap's frame for the same pattern, and exact
+    # generates a subset of what cap generates.
     cap_trace, exact_trace = [], []
     _, stats = mine_trie(db, WEIGHTS, min_sup, 1.0, trace=cap_trace)
     mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", trace=exact_trace)
     slack = 1.0 + 4 * (db.size + stats.wam_acc.freq_sum + 2) * 2.0**-53
     ones = DenseCheckedTrace.ONES
-    want = {
-        r.pattern for r in cap_trace
-        if r.generated and dense_wes(r.pattern, db, ones, 0.0) * r.wgt_cap * slack
-        >= stats.min_wes - EPS
-    }
-    assert {r.pattern for r in exact_trace if r.generated} == want
+    generated = {r.pattern for r in exact_trace if r.generated}
+    assert generated <= {r.pattern for r in cap_trace if r.generated}
+    for r in exact_trace:
+        es = dense_wes(r.pattern, db, ones, 0.0)
+        assert r.generated == (es * r.wgt_cap * slack >= stats.min_wes - EPS), r.pattern
 
 
 def tracked_tries(*stored):
