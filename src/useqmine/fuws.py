@@ -55,31 +55,49 @@ so no pattern is longer. So a generate test never drops a branch holding a
 pattern the scan would store, even where the bound ties the floor, and a
 ruled-out candidate misses the floor when verified too.
 
-``bound="exact"`` carries each pattern's rows (see the ``trie`` module
-docstring) and their maxima b_s, one per sequence, through growth. Below the
-root it bounds a slot by ``sum of b_s * p_s`` over its entries, p_s being
-``determine``'s slot value, not ``maxpr * sum of p_s``: the extension's row
-values are the pattern's, each at most b_s, times the item's probabilities,
-each at most p_s, and a descendant's are smaller still. Float ``*`` and
-``+`` round monotonically and ``_extend_rows`` sums in the same order, so
-the float bound is at least the float es. A slot it passes gets its rows,
-and es, the sum of their maxima, is the extension's expected support; its
-wes comes out bit for bit as the scan's, so an exact mine verifies nothing
-and rules nothing out. Each row's first event, the earliest where the
-pattern ends and never before ``project``'s anchor, anchors the extension's
-projection entry, so an exact frame is never projected. The extension is
-generated when ``es * wgt_cap * gen_slack`` meets the floor: a descendant's
-row values are at most its row's, in floats too, and its real mean item
-weight is at most ``wgt_cap``, so the margins hold with the row maxima in
-place of the bound's probabilities.
+``bound="exact"`` carries through growth each pattern's rows (see the
+``trie`` module docstring) and their maxima b_s, one per sequence s, and
+bounds with a weight cap c_s per sequence in place of ``wgt_cap``. Popping a
+frame reads each c_s off s's frontier (below): the larger of the pattern's
+heaviest item and the heaviest item left in s after the frame's anchor (the
+row's first event, the pattern's last item); at the root, s's heaviest item.
+An embedding of a descendant contains one of the pattern, which ends at or
+after that anchor, and every item the descendant adds comes after that end,
+so its mean item weight is at most c_s. A frame bounds a slot by ``sum of
+b_s * c_s * p_s`` over its entries, p_s being ``determine``'s slot value
+(``determine`` is handed each entry's b_s * c_s): the extension's row values
+are the pattern's, each at most b_s, times the item's probabilities, each at
+most p_s, and a descendant's are smaller still. A slot this pretest passes
+gets its rows, and es, the sum of their maxima, is the extension's expected
+support; its wes comes out bit for bit as the scan's, so an exact mine
+verifies nothing and rules nothing out. Each row's first event, the earliest
+where the pattern ends and never before ``project``'s anchor, anchors the
+extension's projection entry, so an exact frame is never projected.
+
+The extension is generated when ``sum of best_s * c_s * gen_slack`` meets
+the floor, best_s being its row maxima and c_s the parent's caps, not its
+own. A failed test drops the item from what the parent's children inherit,
+so it must bound the extension by that item of every descendant of the
+parent, whose own items lie between the parent's end and the item: before
+the extension's anchor, where the extension's caps no longer look. Its row
+maxima bound those descendants' (the inheritance argument below), and the
+parent's caps their mean item weights. The margin keeps its shape: a term
+of either exact bound takes at most L products (those of the row maximum,
+then the cap's and the probability's) and the terms n - 1 sums, no more
+than the ``maxpr`` bound's L + 1 products and n - 1 sums, so ``gen_slack``
+covers it. Float ``*`` and ``+`` round monotonically and ``_extend_rows``
+sums in sequence order. Without a trace list, a slot whose pretest fails is
+dropped before the slots are sorted unless it is a tracked edge: it would
+change nothing.
 
 Given ``tracked`` tries, exact growth is their fold too: a frame carries its
 path's nodes in them, a tracked edge always gets its rows (over all of the
 frame's entries if no slot holds its item), and each tracked node storing
 the extension adds ``best * mean`` once per sequence, in sequence order, as
-``sup_calc`` does. Below a tracked edge the local test rejects, its es and
-``wgt_cap`` bound every descendant, so nothing there is generated: a frame
-with no trie node walks the tracked children alone, with no ``determine``.
+``sup_calc`` does. Below a tracked edge the local test rejects, the bound
+that rejected it bounds every descendant, so nothing there is generated: a
+frame with no trie node walks the tracked children alone, with no
+``determine`` and no bound.
 
 Below the root, a node bounds only the items its parent generated: the
 parent's generated S-items, plus its generated I-items when the node is an
@@ -91,8 +109,9 @@ subset, in the same order) and ``est_wgt`` can only shrink, and float ``+``,
 S-slot for b did, or, along an I-only chain, P's I-slot. Items without a slot
 still count towards ``est_wgt``, the heaviest item left in the projected
 suffixes: each sequence keeps a frontier of the items that can be that one,
-as (weight, last position, item), heaviest first, and growth reads it only
-while the node's slots weigh less than its parent's ``est_wgt``.
+as (weight, last position, item), heaviest first. ``cap`` and ``top`` read
+it only while the node's slots weigh less than its parent's ``est_wgt``;
+``exact`` reads it once per entry of a popped frame, for c_s.
 """
 
 from __future__ import annotations
@@ -166,11 +185,16 @@ class BoundRecord:
     S-items, plus its generated I-items when the node is an I-extension.
     ``maxpr`` is the extension's maxpr: its prefix's maxpr (1.0 at the root)
     times the item's peak remaining probability over the projection, the
-    factor its children's bounds start from. Below the root, ``exact``
-    records its row-weighted bound as ``exp_sup_cap``. ``exp_sup`` is the
-    extension's exact expected support where ``exact`` built its rows (for
-    each extension its bound generates, and each tracked one), and None
-    otherwise.
+    factor its children's bounds start from. ``exp_sup_w`` is the
+    weight-capped bound that decided ``generated``: under ``cap`` and
+    ``top`` their support bound times the frame's ``wgt_cap``. ``exact``
+    caps each sequence on its own (module docstring), so its records carry
+    ``wgt_cap`` None and its pretest, the slot's sum of row maximum times
+    cap times probability, as ``exp_sup_cap``; ``exp_sup_w`` is that
+    pretest, or where it passed and rows were built, their maxima times the
+    parent's caps. ``exp_sup`` is the extension's exact expected support
+    where ``exact`` built its rows (for each extension its pretest passes,
+    and each tracked one), and None otherwise.
     """
 
     pattern: Pattern
@@ -178,7 +202,8 @@ class BoundRecord:
     maxpr: float
     exp_sup_cap: float
     exp_sup_top: float
-    wgt_cap: float
+    wgt_cap: float | None
+    exp_sup_w: float
     generated: bool
     exp_sup: float | None = None
 
@@ -451,7 +476,8 @@ def _grow(
     only tracked children. The root frame's node is the trie's root. Under
     ``cap`` and ``top`` a frame holds its slot's entries, and popping it
     projects them, so projection happens only when a subtree is grown; an
-    ``exact`` frame holds entries its rows already anchored. Every frame then
+    ``exact`` frame holds entries its rows already anchored, and popping it
+    reads each entry's weight cap off the frontier. Every frame then
     bounds each slot ``determine`` finds among the inherited items, I-items
     then S-items, each in item order. Each generated one is stored as a child
     of the frame's node and becomes a frame: under ``exact`` with its wes,
@@ -466,12 +492,26 @@ def _grow(
     cap_bound = bound != "top"
     floor = min_wes - EPS  # what ``meets`` compares with
     gen_slack = 1.0 + 4 * (len(pdb) + stats.wam_acc.freq_sum + 2) * 2.0**-53  # module docstring
-    # The root frame's limit 0.0 skips the frontiers: every item has a slot there.
+    # The root frame's limit 0.0 skips the frontiers: every item has a slot
+    # there. Its row maxima, the empty prefix's, are 1.0.
     stack = [(root_projection(pdb).entries, None, root, 1.0, 0.0, 0.0, 0, None, None, 0.0, None,
-              None, [t.root for t in tracked])]
+              [1.0] * len(pdb) if exact else None, [t.root for t in tracked])]
     while stack:
         (entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit, rows, bests,
          marks) = stack.pop()
+        caps = None
+        if exact:  # each entry's weight cap (module docstring); bests become b_s * c_s
+            caps = {}
+            for i, (si, ei) in enumerate(entries):
+                cap = mxw
+                for w, last, it in pdb[si].frontier:
+                    if w <= mxw:
+                        break
+                    if last > ei or (last == ei and it > open_item):
+                        cap = w
+                        break
+                caps[si] = cap
+                bests[i] *= cap
         proj = ProjectedDB(entries, open_item)
         if node is not root and not exact:
             proj = project(pdb, proj, node.item, node.kind)
@@ -480,9 +520,11 @@ def _grow(
         slots = {} if node is None else determine(pdb, proj, alive, bests)
         # The heaviest item left in the projected suffixes, with or without a
         # slot: the slots' items give a floor, each entry's frontier the rest,
-        # and no node's exceeds its parent's (``limit``).
-        wgt_cap = max([mxw] + [weight[item] for acc in slots.values() for item in acc])
-        if wgt_cap < limit:
+        # and no node's exceeds its parent's (``limit``). Exact frames carry
+        # a cap per sequence instead.
+        wgt_cap = None if exact else max(
+            [mxw] + [weight[item] for acc in slots.values() for item in acc])
+        if not exact and wgt_cap < limit:
             for si, ei in proj.entries:
                 for w, last, it in pdb[si].frontier:
                     if w <= wgt_cap:
@@ -509,10 +551,17 @@ def _grow(
         for kind, acc in slots.items():
             stats.bounded += len(acc)
             inherit = None if node is root else alive_i if kind == "I" else alive_s
-            for item in sorted(acc):
+            items = acc
+            if exact and trace is None:  # failing the pretest, only a tracked edge counts
+                items = [it for it, slot in acc.items()
+                         if slot[0] * gen_slack >= floor or (kind, it) in edges]
+            for item in sorted(items):
                 prob_sum, prob_max, entries = acc[item]
-                sup = maxpr * prob_sum if bests is None else prob_sum
-                est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
+                if exact:  # the slot sum is the whole pretest (module docstring)
+                    sup = est = prob_sum
+                else:
+                    sup = maxpr * prob_sum
+                    est = (sup if cap_bound else maxpr * prob_max * len(entries)) * wgt_cap
                 generated = est * gen_slack >= floor
                 nodes = edges.pop((kind, item), None) if edges else None
                 es = None
@@ -520,18 +569,19 @@ def _grow(
                     w = weight[item]
                     cw = wsum + w
                     if exact:
-                        es, wes, anchors, child_rows, child_bests = _extend_rows(
-                            seqs, open_item, rows, kind, item, entries, cw / length, nodes
-                        )
-                        generated = generated and es * wgt_cap * gen_slack >= floor
+                        row_est, es, wes, anchors, child_rows, child_bests = _extend_rows(
+                            seqs, open_item, rows, caps, kind, item, entries, cw / length, nodes)
+                        if generated:
+                            est = row_est
+                            generated = est * gen_slack >= floor
                         if nodes and not generated:
-                            rejected.append((nodes, item, cw, anchors, child_rows))
+                            rejected.append((nodes, item, cw, anchors, child_rows, child_bests))
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
                     top = maxpr * prob_max * len(entries)
                     trace.append(BoundRecord(pat, kind, maxpr * prob_max, sup, top, wgt_cap,
-                                             generated, es))
+                                             est, generated, es))
                 if generated:
                     child = trie.add_child(node, kind, item)
                     if exact:
@@ -557,14 +607,14 @@ def _grow(
             edges.clear()
         for (kind, item), nodes in edges.items():  # the tracked edges no slot holds
             cw = wsum + weight[item]
-            anchors, child_rows = _extend_rows(
-                seqs, open_item, rows, kind, item, proj.entries, cw / length, nodes)[2:4]
-            rejected.append((nodes, item, cw, anchors, child_rows))
-        for nodes, item, cw, anchors, child_rows in rejected:  # walk only tracked children
-            marks = [n for n in nodes if n.children]
+            anchors, child_rows, child_bests = _extend_rows(
+                seqs, open_item, rows, caps, kind, item, proj.entries, cw / length, nodes)[3:6]
+            rejected.append((nodes, item, cw, anchors, child_rows, child_bests))
+        for nodes, item, cw, anchors, child_rows, child_bests in rejected:
+            marks = [n for n in nodes if n.children]  # walk only tracked children
             if marks and anchors:
                 stack.append((anchors, item, None, 0.0, 0.0, cw, length, None, None, 0.0,
-                              child_rows, None, marks))
+                              child_rows, child_bests, marks))
         stats.candidates += len(frames)
         stack.extend(reversed(frames))
 
@@ -573,16 +623,19 @@ def _extend_rows(
     seqs: Sequence[USequence],
     parent: ItemId | None,
     rows: dict[int, list] | None,
+    caps: dict[int, float],
     kind: ExtKind,
     item: ItemId,
     entries: Sequence[Entry],
     mean: float,
     nodes: list[TrieNode] | None,
-) -> tuple[float, float, list[Entry], dict[int, list] | None, list[float]]:
+) -> tuple[float, float, float, list[Entry], dict[int, list] | None, list[float]]:
     """The exact rows of a pattern extended by ``(kind, item)`` over
-    ``entries``: returns the extension's expected support, its wes (its mean
-    item weight ``mean``), its projection entries, its rows and their maxima.
-    Each stored node of the tracked ``nodes`` gets each wes term too.
+    ``entries``: returns the extension's weight-capped bound (the sum of each
+    row's maximum times the pattern's cap for its sequence, ``caps``), its
+    expected support, its wes (its mean item weight ``mean``), its
+    projection entries, its rows and their maxima. Each stored node of the
+    tracked ``nodes`` gets each wes term too.
 
     ``rows`` maps each sequence of the pattern's projection to its row (see
     the ``trie`` module docstring). It is None for a root child, whose rows
@@ -597,7 +650,7 @@ def _extend_rows(
     ``project``, an entry with nothing left after it stays, and ``determine``
     finds no slot there.
     """
-    es = wes = 0.0
+    bound = es = wes = 0.0
     anchors: list[Entry] = []
     bests: list[float] = []
     child_rows: dict[int, list] | None = None if parent is None else {}
@@ -618,6 +671,7 @@ def _extend_rows(
                 continue
             first = row[0][0]
             child_rows[si] = row
+        bound += best * caps[si]
         es += best
         term = best * mean
         wes += term
@@ -625,7 +679,7 @@ def _extend_rows(
             n.wes += term
         anchors.append((si, first))
         bests.append(best)
-    return es, wes, anchors, child_rows, bests
+    return bound, es, wes, anchors, child_rows, bests
 
 
 def fuws(

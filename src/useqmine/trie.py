@@ -77,7 +77,10 @@ class USeqTrie:
         self.root = TrieNode()
 
     def insert(self, pattern: Pattern, wes: float = 0.0) -> None:
-        """Store a pattern; overwrites the accumulator if already present."""
+        """Store a pattern; overwrites the accumulator if already present. A
+        wes a snapshot could not hold (negative, nan or inf) raises
+        ``MiningError`` before any node is made."""
+        check_nonnegative("wes", wes)
         *path, last = _edges(pattern)
         node = self.root
         for key in path:

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from useqmine import (
@@ -12,6 +12,7 @@ from useqmine import (
     MiningError,
     Thresholds,
     UncertainDatabase,
+    USequence,
     USeqTrie,
     WamAccumulator,
     WeightTable,
@@ -269,10 +270,11 @@ def unpruned_trace(db, wt, min_sup, bound):
         for cand in cands:
             cap = maxpr * cand.prob_sum
             top = maxpr * cand.prob_max * cand.seq_count
-            generated = (cap if bound == "cap" else top) * wgt_cap * slack >= min_wes - EPS
+            est = (cap if bound == "cap" else top) * wgt_cap
+            generated = est * slack >= min_wes - EPS
             pat = extend(prefix, cand.item, cand.kind) if prefix else single(cand.item)
             records.append(BoundRecord(pat, cand.kind, maxpr * cand.prob_max, cap, top, wgt_cap,
-                                       generated))
+                                       est, generated))
             child = project(pdb, proj, cand.item, cand.kind) if generated else None
             if child and child.entries:
                 grow(child, pat, maxpr * cand.prob_max, max(mxw, wt.weight(cand.item)))
@@ -620,6 +622,14 @@ def test_known_patterns_are_left_unverified(db, other, weights, min_sup, data):
     weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
     min_sup=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
 )
+@example(  # (a)(a) is below the floor, but its test must pass: a failing one
+    # drops a below (a) and (b), and (a c)(a), (b c)(a) and (a b c)(a) are
+    # frequent. Capped by its own anchor, after which nothing is left, instead
+    # of by its parent's, where c is still left, the test fails.
+    db=UncertainDatabase((USequence([[("a", 1.0), ("b", 1.0), ("c", 1.0)], [("a", 0.25)]]),)),
+    weights=[0.3, 0.3, 0.8, 1.0, 1.0],
+    min_sup=0.2,
+)
 def test_exact_rows_store_what_the_scan_verifies(db, weights, min_sup):
     # Exact rows give each candidate the wes the verify scan gives, so the
     # exact mine stores what cap and top store, from fewer candidates, with
@@ -640,11 +650,14 @@ def test_exact_rows_store_what_the_scan_verifies(db, weights, min_sup):
     plain_trie, plain = mine_trie(db, wt, min_sup, 1.0, bound="exact")
     assert plain_trie.snapshot() == exact_trie.snapshot()
     assert (plain.candidates, plain.bounded) == (exact.candidates, len(trace))
-    # Rows are built exactly where the bound generates: cap at the root,
-    # the row-weighted bound, traced as ``exp_sup_cap``, below it.
+    # Rows are built exactly where the pretest, traced as ``exp_sup_cap``,
+    # passes, and a candidate is generated exactly where the weight-capped
+    # bound that decided, ``exp_sup_w``, does; exact frames have no wgt_cap.
     slack = gen_slack(db, preprocess(db, wt)[1])
-    passing = [r for r in trace if r.exp_sup_cap * r.wgt_cap * slack >= exact.min_wes - EPS]
-    assert [r.exp_sup is not None for r in trace] == [r in passing for r in trace]
+    floor = exact.min_wes - EPS
+    assert [r.exp_sup is not None for r in trace] == [r.exp_sup_cap * slack >= floor for r in trace]
+    assert [r.generated for r in trace] == [r.exp_sup_w * slack >= floor for r in trace]
+    assert all(r.wgt_cap is None for r in trace)
 
 
 @settings(max_examples=150, deadline=None)

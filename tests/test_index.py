@@ -318,27 +318,35 @@ def dense_wes(pat, db, weights, wes):
     earlier positions, an I-item its value at the same position, and the
     same float operations run in the same order.
     """
-    edges = [("I" if k else "S", it) for ev in pat.events for k, it in enumerate(ev)]
+    edges = pattern_edges(pat)
     cw = 0.0
     for _, item in edges:
         cw += weights.weight(item)
     for seq in db:
-        probs = seq.event_maps()
-        ar = before_max = [1.0] * len(probs)
-        for kind, item in edges:
-            src = before_max if kind == "S" else ar
-            ar = [
-                pm[item] * b if item in pm and b > 0.0 else 0.0 for pm, b in zip(probs, src)
-            ]
-            before_max, run = [], 0.0
-            for v in ar:
-                before_max.append(run)
-                if v > run:
-                    run = v
-        best = max(ar)
+        best = max(dense_row(edges, seq.event_maps()))
         if best > 0.0:
             wes += best * (cw / len(edges))
     return wes
+
+
+def pattern_edges(pat):
+    return [("I" if k else "S", it) for ev in pat.events for k, it in enumerate(ev)]
+
+
+def dense_row(edges, probs):
+    """The dense recurrence's last row: per event of ``probs`` (a sequence's
+    ``event_maps()``), the best probability of an embedding of ``edges``
+    whose last item is there."""
+    ar = before_max = [1.0] * len(probs)
+    for kind, item in edges:
+        src = before_max if kind == "S" else ar
+        ar = [pm[item] * b if item in pm and b > 0.0 else 0.0 for pm, b in zip(probs, src)]
+        before_max, run = [], 0.0
+        for v in ar:
+            before_max.append(run)
+            if v > run:
+                run = v
+    return ar
 
 
 DENSE_ITEMS = "abc"  # few items, so most sequences repeat some across events
@@ -425,7 +433,8 @@ def test_unit_row_maxima_give_determines_slots(data, db, alive):
     min_sup=st.sampled_from([0.05, 0.1, 0.3]),
 )
 @example(  # (a c)(a c) embeds in the first sequence only, and b, the heaviest
-    # item, is left only in the second: exact's wgt_cap is 0.9 where cap's is 1.0
+    # item, is left only in the second: exact caps the first by 0.9 where cap's
+    # wgt_cap is 1.0
     db=UncertainDatabase((
         USequence([[("a", 0.5), ("c", 0.625)], [("a", 0.625), ("c", 0.875)]]),
         USequence([[("a", 1.0)], [("a", 1.0)], [("a", 1.0)], [("c", 1.0)], [("a", 1.0)],
@@ -434,22 +443,41 @@ def test_unit_row_maxima_give_determines_slots(data, db, alive):
     min_sup=0.1,
 )
 def test_row_weighted_bound_drops_no_candidate(db, min_sup):
-    # The exact mine bounds slots below the root by their entries' row
-    # maxima, not by maxpr; it must still generate every slot whose expected
-    # support passes the exact test, and nothing else. That test reads the
-    # exact frame's own wgt_cap: its entries are real embeddings, so it can
-    # be below the wgt_cap of cap's frame for the same pattern, and exact
-    # generates a subset of what cap generates.
+    # The exact mine generates a slot exactly when the sum over sequences of
+    # its row maximum times its parent's cap for the sequence, with the
+    # slack, meets the floor. The cap is the heaviest of the parent's items
+    # and the items left after the parent's earliest end, found here from
+    # the raw events. Exact's entries are real embeddings, so it generates
+    # a subset of what cap generates.
     cap_trace, exact_trace = [], []
     _, stats = mine_trie(db, WEIGHTS, min_sup, 1.0, trace=cap_trace)
     mine_trie(db, WEIGHTS, min_sup, 1.0, bound="exact", trace=exact_trace)
     slack = 1.0 + 4 * (db.size + stats.wam_acc.freq_sum + 2) * 2.0**-53
-    ones = DenseCheckedTrace.ONES
     generated = {r.pattern for r in exact_trace if r.generated}
     assert generated <= {r.pattern for r in cap_trace if r.generated}
+    maps = [seq.event_maps() for seq in db.sequences]
     for r in exact_trace:
-        es = dense_wes(r.pattern, db, ones, 0.0)
-        assert r.generated == (es * r.wgt_cap * slack >= stats.min_wes - EPS), r.pattern
+        edges = pattern_edges(r.pattern)
+        bound = 0.0
+        for probs in maps:
+            best = max(dense_row(edges, probs))
+            if best > 0.0:
+                bound += best * parent_cap(edges[:-1], probs)
+        assert r.generated == (bound * slack >= stats.min_wes - EPS), r.pattern
+
+
+def parent_cap(edges, probs):
+    """The largest weight among the pattern ``edges``' items and the items
+    left after its earliest end in a sequence that holds it."""
+    left = [it for pm in probs for it in pm]
+    mxw = 0.0
+    if edges:
+        end = next(k for k, v in enumerate(dense_row(edges, probs)) if v > 0.0)
+        last = edges[-1][1]
+        left = [it for it in probs[end] if it > last]
+        left += [it for pm in probs[end + 1:] for it in pm]
+        mxw = max(WEIGHTS.weight(it) for _, it in edges)
+    return max([mxw] + [WEIGHTS.weight(it) for it in left])
 
 
 def tracked_tries(*stored):

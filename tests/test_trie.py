@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -44,6 +45,18 @@ class TestInsertRemove:
         trie.insert(P("(a b)"), 9.5)
         assert trie.node_count == before
         assert trie.get_wes(P("(a b)")) == 9.5
+
+    @pytest.mark.parametrize("wes", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("pat", ["(e)(f)", "(a b)", "(c)(d e)"])
+    def test_insert_refuses_a_wes_no_snapshot_holds(self, wes, pat):
+        # The checkpoint reader refuses such a wes, so the trie must not store
+        # it, nor make the nodes of a new path first.
+        trie = fig2_trie()
+        before = trie.snapshot()
+        with pytest.raises(MiningError, match="wes must be finite and not negative"):
+            trie.insert(P(pat), wes)
+        assert trie.snapshot() == before
+        assert USeqTrie.from_snapshot(trie.snapshot()).snapshot() == before
 
     def test_three_insertions_grow_trie(self):
         trie = fig2_trie()
