@@ -58,7 +58,8 @@ ruled-out candidate misses the floor when verified too.
 ``bound="exact"`` carries through growth each pattern's rows (see the
 ``trie`` module docstring) and their maxima b_s, one per sequence s, and
 bounds with a weight cap c_s per sequence in place of ``wgt_cap``. Popping a
-frame reads each c_s off s's frontier (below): the larger of the pattern's
+frame with a trie node reads each c_s off s's frontier (below), and growing
+it holds them: the larger of the pattern's
 heaviest item and the heaviest item left in s after the frame's anchor (the
 row's first event, the pattern's last item); at the root, s's heaviest item.
 An embedding of a descendant contains one of the pattern, which ends at or
@@ -86,9 +87,7 @@ of either exact bound takes at most L products (those of the row maximum,
 then the cap's and the probability's) and the terms n - 1 sums, no more
 than the ``maxpr`` bound's L + 1 products and n - 1 sums, so ``gen_slack``
 covers it. Float ``*`` and ``+`` round monotonically and ``_extend_rows``
-sums in sequence order. Without a trace list, a slot whose pretest fails is
-dropped before the slots are sorted unless it is a tracked edge: it would
-change nothing.
+sums in sequence order.
 
 Given ``tracked`` tries, exact growth is their fold too: a frame carries its
 path's nodes in them, a tracked edge always gets its rows (over all of the
@@ -190,7 +189,8 @@ class BoundRecord:
     ``top`` their support bound times the frame's ``wgt_cap``. ``exact``
     caps each sequence on its own (module docstring), so its records carry
     ``wgt_cap`` None and its pretest, the slot's sum of row maximum times
-    cap times probability, as ``exp_sup_cap``; ``exp_sup_w`` is that
+    cap times probability, as ``exp_sup_cap``: an exact record's
+    ``exp_sup_cap`` already includes the weight caps. ``exp_sup_w`` is that
     pretest, or where it passed and rows were built, their maxima times the
     parent's caps. ``exp_sup`` is the extension's exact expected support
     where ``exact`` built its rows (for each extension its pretest passes,
@@ -476,8 +476,8 @@ def _grow(
     only tracked children. The root frame's node is the trie's root. Under
     ``cap`` and ``top`` a frame holds its slot's entries, and popping it
     projects them, so projection happens only when a subtree is grown; an
-    ``exact`` frame holds entries its rows already anchored, and popping it
-    reads each entry's weight cap off the frontier. Every frame then
+    ``exact`` frame holds entries its rows already anchored, and popping one
+    with a trie node reads each entry's weight cap off the frontier. Every frame then
     bounds each slot ``determine`` finds among the inherited items, I-items
     then S-items, each in item order. Each generated one is stored as a child
     of the frame's node and becomes a frame: under ``exact`` with its wes,
@@ -500,17 +500,10 @@ def _grow(
         (entries, open_item, node, maxpr, mxw, wsum, length, prefix, alive, limit, rows, bests,
          marks) = stack.pop()
         caps = None
-        if exact:  # each entry's weight cap (module docstring); bests become b_s * c_s
+        if exact and node is not None:  # each entry's weight cap; bests become b_s * c_s
             caps = {}
             for i, (si, ei) in enumerate(entries):
-                cap = mxw
-                for w, last, it in pdb[si].frontier:
-                    if w <= mxw:
-                        break
-                    if last > ei or (last == ei and it > open_item):
-                        cap = w
-                        break
-                caps[si] = cap
+                caps[si] = cap = _heaviest_left(pdb[si].frontier, ei, open_item, mxw)
                 bests[i] *= cap
         proj = ProjectedDB(entries, open_item)
         if node is not root and not exact:
@@ -526,12 +519,7 @@ def _grow(
             [mxw] + [weight[item] for acc in slots.values() for item in acc])
         if not exact and wgt_cap < limit:
             for si, ei in proj.entries:
-                for w, last, it in pdb[si].frontier:
-                    if w <= wgt_cap:
-                        break
-                    if last > ei or (last == ei and it > proj.open_item):
-                        wgt_cap = w
-                        break
+                wgt_cap = _heaviest_left(pdb[si].frontier, ei, proj.open_item, wgt_cap)
                 if wgt_cap == limit:
                     break
         # The tracked edges out of this path, each with its tracked nodes.
@@ -551,11 +539,7 @@ def _grow(
         for kind, acc in slots.items():
             stats.bounded += len(acc)
             inherit = None if node is root else alive_i if kind == "I" else alive_s
-            items = acc
-            if exact and trace is None:  # failing the pretest, only a tracked edge counts
-                items = [it for it, slot in acc.items()
-                         if slot[0] * gen_slack >= floor or (kind, it) in edges]
-            for item in sorted(items):
+            for item in sorted(acc):
                 prob_sum, prob_max, entries = acc[item]
                 if exact:  # the slot sum is the whole pretest (module docstring)
                     sup = est = prob_sum
@@ -575,7 +559,7 @@ def _grow(
                             est = row_est
                             generated = est * gen_slack >= floor
                         if nodes and not generated:
-                            rejected.append((nodes, item, cw, anchors, child_rows, child_bests))
+                            rejected.append((nodes, item, cw, anchors, child_rows))
                 pat = None
                 if trace is not None:
                     pat = extend(prefix, item, kind) if prefix is not None else single(item)
@@ -607,23 +591,35 @@ def _grow(
             edges.clear()
         for (kind, item), nodes in edges.items():  # the tracked edges no slot holds
             cw = wsum + weight[item]
-            anchors, child_rows, child_bests = _extend_rows(
-                seqs, open_item, rows, caps, kind, item, proj.entries, cw / length, nodes)[3:6]
-            rejected.append((nodes, item, cw, anchors, child_rows, child_bests))
-        for nodes, item, cw, anchors, child_rows, child_bests in rejected:
-            marks = [n for n in nodes if n.children]  # walk only tracked children
+            anchors, child_rows = _extend_rows(
+                seqs, open_item, rows, caps, kind, item, proj.entries, cw / length, nodes)[3:5]
+            rejected.append((nodes, item, cw, anchors, child_rows))
+        for nodes, item, cw, anchors, child_rows in rejected:  # walk only tracked children
+            marks = [n for n in nodes if n.children]
             if marks and anchors:
                 stack.append((anchors, item, None, 0.0, 0.0, cw, length, None, None, 0.0,
-                              child_rows, child_bests, marks))
+                              child_rows, None, marks))
         stats.candidates += len(frames)
         stack.extend(reversed(frames))
+
+
+def _heaviest_left(frontier: Sequence[tuple[float, int, ItemId]], ei: int,
+                   open_item: ItemId | None, floor: float) -> float:
+    """The heaviest weight above ``floor`` among the items of a sequence's
+    ``frontier`` left after the anchor ``(ei, open_item)``, else ``floor``."""
+    for w, last, it in frontier:
+        if w <= floor:
+            break
+        if last > ei or (last == ei and it > open_item):
+            return w
+    return floor
 
 
 def _extend_rows(
     seqs: Sequence[USequence],
     parent: ItemId | None,
     rows: dict[int, list] | None,
-    caps: dict[int, float],
+    caps: dict[int, float] | None,
     kind: ExtKind,
     item: ItemId,
     entries: Sequence[Entry],
@@ -632,7 +628,8 @@ def _extend_rows(
 ) -> tuple[float, float, float, list[Entry], dict[int, list] | None, list[float]]:
     """The exact rows of a pattern extended by ``(kind, item)`` over
     ``entries``: returns the extension's weight-capped bound (the sum of each
-    row's maximum times the pattern's cap for its sequence, ``caps``), its
+    row's maximum times the pattern's cap for its sequence, ``caps``; 0.0
+    where ``caps`` is None, in a frame walking only tracked children), its
     expected support, its wes (its mean item weight ``mean``), its
     projection entries, its rows and their maxima. Each stored node of the
     tracked ``nodes`` gets each wes term too.
@@ -671,7 +668,8 @@ def _extend_rows(
                 continue
             first = row[0][0]
             child_rows[si] = row
-        bound += best * caps[si]
+        if caps is not None:
+            bound += best * caps[si]
         es += best
         term = best * mean
         wes += term
