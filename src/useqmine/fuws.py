@@ -477,12 +477,13 @@ def _grow(
     ``cap`` and ``top`` a frame holds its slot's entries, and popping it
     projects them, so projection happens only when a subtree is grown; an
     ``exact`` frame holds entries its rows already anchored, and popping one
-    with a trie node reads each entry's weight cap off the frontier. Every frame then
-    bounds each slot ``determine`` finds among the inherited items, I-items
-    then S-items, each in item order. Each generated one is stored as a child
-    of the frame's node and becomes a frame: under ``exact`` with its wes,
-    otherwise as a prefix only when its own bound rules it out. The frames go
-    on the stack in reverse, so the first is grown first. The stack is
+    with a trie node reads each entry's weight cap off the frontier. Every
+    frame then bounds each slot ``determine`` finds among the inherited
+    items, I-items then S-items, each in item order. Each generated one is
+    stored as a child of the frame's node and becomes a frame: under
+    ``exact`` with its wes, otherwise as a prefix only when its own bound
+    rules it out. The frames go on the stack in reverse, so the first is
+    grown first. The stack is
     explicit, so a long pattern cannot hit Python's recursion limit. The
     weight table is read directly: ``preprocess`` has looked up every item.
     """
