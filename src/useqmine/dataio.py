@@ -6,8 +6,8 @@ sequence and must be the last token; precise SPMF sequence files follow the
 same grammar with bare items. Items inside an event are re-sorted ascending on
 load, by ``USequence``. Weight file: ``item weight`` per line. The readers
 build sequences straight into their item index, checking each distinct item
-once per file and each probability and event as they go; every error names
-its line.
+once per file and each probability and event as they go, and storing each
+distinct position tuple once per file; every error names its line.
 
 Generation turns a precise SPMF dataset into an uncertain weighted one by
 drawing a Gaussian probability per item occurrence and a Gaussian weight per
@@ -48,11 +48,16 @@ class ParseError(MiningError):
 def _lines(path: str) -> Iterator[tuple[int, str]]:
     """Each line of a UTF-8 text file with its 1-based number.
 
-    The one reader of the package's input files. A byte that is not UTF-8
-    raises ``ParseError`` naming its line; other lines read as in text mode.
+    The one reader of the package's input files. A byte-order mark opening
+    the file is dropped, by hand: the ``utf-8-sig`` codec would also drop,
+    silently, a file holding only a mark's first bytes. A byte that is not
+    UTF-8 raises ``ParseError`` naming its line; other lines read as in text
+    mode.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -214,6 +219,7 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
     a malformed token. On any refusal ``_events``, the one grammar, reads the
     line again, so a grammar error wins."""
     seen: dict[str, ItemId] = {}
+    positions: dict = {}  # the file's position tuples, one object each
 
     def events(tokens: list[str]) -> Iterator[list[tuple[ItemId, float]]]:
         pairs: list[tuple[ItemId, float]] = []
@@ -244,7 +250,7 @@ def parse_uncertain_db(path: str) -> UncertainDatabase:
         try:
             if tokens[-2:] != ["-1", "-2"]:
                 _events(tokens)  # raises this line's grammar error
-            sequences.append(USequence.of(events(tokens)))
+            sequences.append(USequence.of(events(tokens), positions))
         except MiningError as exc:
             try:
                 _events(tokens)
@@ -317,6 +323,7 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
         raise MiningError(f"unknown input format {fmt!r}")
     rng = Xoshiro256StarStar(cfg.seed)
     seen: dict[ItemId, float] = {}  # keys in first-appearance order
+    positions: dict = {}  # the file's position tuples, one object each
     sequences: list[USequence] = []
     for lineno, line in _lines(path):
         tokens = line.split()
@@ -328,7 +335,7 @@ def gen_uncertain(path: str, cfg: GenConfig, fmt: str = "spmf-seq") -> tuple[Unc
                 {it: _clamp01(rng.gauss(cfg.prob_mean, cfg.prob_std)) for it in dict.fromkeys(items)}
                 for items in raw
             ]
-            seq = USequence.of([list(probs.items()) for probs in events])
+            seq = USequence.of([list(probs.items()) for probs in events], positions)
             for item in seq.index:  # new tokens in index order: ascending inside an event
                 if item not in seen:
                     check_item_token(item)

@@ -9,7 +9,9 @@ rule out, and drop the rest.
 A preprocessed sequence is only its stored item index with the probabilities
 rewritten: each item maps to the ascending positions of the events holding it
 (the stored tuple, shared) and its suffix-max probability at each, and the
-items run by (last position, item), latest first. Growth is a pseudo-projection
+items run by (last position, item), latest first. An item whose probabilities
+already fall, one occurring once among them, keeps its stored pair object;
+nothing may mutate it or rely on its identity. Growth is a pseudo-projection
 over that index (as in PrefixSpan): a projection entry is a (sequence, event)
 anchor, and ``determine`` reads each item's best remaining probability with
 one bisect and stops at the first item not left after the anchor (event,
@@ -244,8 +246,10 @@ def preprocess(
 
 def _index_sequence(seq: USequence, weight: dict[ItemId, float], shared: dict) -> PSequence:
     items = sorted(seq.index.items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
-    index = {  # an item occurring once keeps its stored pair
-        item: occ if len(occ[0]) == 1 else (occ[0], tuple(accumulate(reversed(occ[1]), max))[::-1])
+    index = {  # an item occurring once, or whose probabilities already fall, keeps its stored pair
+        item: occ
+        if len(occ[0]) == 1 or (sm := tuple(accumulate(reversed(occ[1]), max))[::-1]) == occ[1]
+        else (occ[0], sm)
         for item, occ in items
     }
     # An item is left in a suffix when its (last, item) is after the anchor's

@@ -117,7 +117,10 @@ class USequence:
     of first occurrence (events in order, items ascending inside one), and
     ``n_events`` counts the events. This is the one encoding of a sequence:
     the miner's projection index, the support scan and the WAM sums read it
-    as stored, and ``events`` is a view built from it on each call.
+    as stored, and ``events`` is a view built from it on each call. Equal
+    position tuples are shared: sequences read from one file, or built by
+    one constructor call, hold one object per distinct tuple. Nothing may
+    mutate them or rely on their identity.
     """
 
     index: dict[ItemId, Occurrences]
@@ -129,26 +132,31 @@ class USequence:
         and anything else that is not such pairs."""
         if not isinstance(events, Iterable):
             raise MiningError(f"sequence {events!r} is not a list of events")
-        self._fill(map(_checked_event, events))
+        self._fill(map(_checked_event, events), {})
 
     @classmethod
-    def of(cls, events: Iterable[list[tuple[ItemId, float]]]) -> USequence:
-        """The sequence of each event's checked ``(item, prob)`` pairs, items in any order."""
+    def of(cls, events: Iterable[list[tuple[ItemId, float]]], positions: dict) -> USequence:
+        """The sequence of each event's checked ``(item, prob)`` pairs, items
+        in any order; ``positions`` is its reader's table of position tuples,
+        one per file."""
         seq = object.__new__(cls)
-        seq._fill(events)
+        seq._fill(events, positions)
         return seq
 
-    def _fill(self, events: Iterable[list[tuple[ItemId, float]]]) -> None:
+    def _fill(self, events: Iterable[list[tuple[ItemId, float]]], positions: dict) -> None:
         # A first occurrence is stored as its final pair; an item seen again
         # grows a list pair in ``more``, frozen into the index at the end.
+        # ``positions`` holds event k's one ``(k,)`` under k, a cheaper key
+        # than the tuple, and every longer position tuple under itself.
         index: dict[ItemId, Occurrences] = {}
         more: dict[ItemId, tuple[list[int], list[float]]] = {}
         for k, pairs in enumerate(events):
             pairs.sort()  # the one place that orders an event's items
+            first = positions.get(k) or positions.setdefault(k, (k,))
             for item, p in pairs:
                 occ = index.get(item)
                 if occ is None:
-                    index[item] = ((k,), (p,))
+                    index[item] = (first, (p,))
                     continue
                 ks, ps = more.get(item) or more.setdefault(item, (list(occ[0]), list(occ[1])))
                 if ks[-1] == k:
@@ -158,7 +166,8 @@ class USequence:
         if not index:  # no event is empty, so an empty index means no event
             raise MiningError("sequence has no events")
         for item, (ks, ps) in more.items():  # an existing key keeps its place
-            index[item] = (tuple(ks), tuple(ps))
+            ks = tuple(ks)
+            index[item] = (positions.setdefault(ks, ks), tuple(ps))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "n_events", k + 1)
 

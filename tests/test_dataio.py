@@ -157,6 +157,24 @@ class TestParseDb:
         path.write_text("\na:0.9 -1 -2\n\n")
         assert parse_uncertain_db(str(path)).size == 1
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff" + DB_TEXT, encoding="utf-8")
+        assert parse_uncertain_db(str(path)) == db_from_text(tmp_path, DB_TEXT)
+        # Only a whole mark: its first bytes alone are not UTF-8.
+        path.write_bytes(b"\xef\xbb")
+        with pytest.raises(ParseError, match="bom.txt:1: byte 0xef at column 1 is not UTF-8"):
+            parse_uncertain_db(str(path))
+
+    def test_equal_positions_stored_once_per_file(self, tmp_path):
+        text = "a:0.5 -1 b:0.2 -1 a:0.3 -1 -2\nc:0.1 -1 d:0.4 -1 c:0.9 -1 -2\n"
+        first, second = (db_from_text(tmp_path, text).sequences for _ in range(2))
+        assert first[0].index["a"][0] == (0, 2)
+        assert first[0].index["a"][0] is first[1].index["c"][0]
+        assert first[0].index["b"][0] is first[1].index["d"][0]
+        # Each parse has its own table: nothing outlives it.
+        assert first[0].index["a"][0] is not second[0].index["a"][0]
+
 
 class TestParseWeights:
     def test_table(self, tmp_path):
@@ -210,6 +228,15 @@ class TestParseWeights:
         path.write_text("")
         assert parse_weights(str(path)).entries == {}
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("\ufeff" + WEIGHTS_TEXT, encoding="utf-8")
+        plain = tmp_path / "plain.txt"
+        plain.write_text(WEIGHTS_TEXT)
+        assert list(parse_weights(str(path)).entries.items()) == list(
+            parse_weights(str(plain)).entries.items()
+        )
+
     def test_write_round_trip(self, tmp_path, sample_weights):
         path = tmp_path / "w.txt"
         write_weights(str(path), sample_weights)
@@ -234,6 +261,12 @@ class TestGen:
         assert out1.read_bytes() == out2.read_bytes()
         db3, _ = gen_uncertain(str(src), GenConfig(seed=43))
         assert db3 != db1
+
+    def test_equal_positions_stored_once_per_file(self, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text(SPMF_SEQ)
+        first, second = gen_uncertain(str(src), GenConfig(seed=1))[0].sequences
+        assert first.index["2"][0] is first.index["3"][0] is second.index["1"][0]
 
     def test_itemset_becomes_one_event_per_item(self, tmp_path):
         src = tmp_path / "in.txt"

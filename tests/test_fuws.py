@@ -78,11 +78,18 @@ class TestPreprocess:
 
     def test_shape_preserved(self, sample_db, sample_weights):
         pdb, _ = preprocess(sample_db, sample_weights)
+        kept = set()
         for seq, pseq in zip(sample_db.sequences, pdb):
             # The stored index's position tuples are shared, not copied.
             positions = {it: ks for it, (ks, _) in seq.index.items()}
             assert pseq.index.keys() == positions.keys()
             assert all(pseq.index[it][0] is ks for it, ks in positions.items())
+            # So is a stored pair whose probabilities already fall.
+            for it, (ks, ps) in seq.index.items():
+                falls = all(a >= b for a, b in zip(ps, ps[1:]))
+                assert (pseq.index[it] is seq.index[it]) == falls
+                kept.add((len(ks) > 1, falls))
+        assert kept == {(False, True), (True, True), (True, False)}
 
     def test_wam_is_the_accumulator_mean(self, tmp_path):
         # Summing weights per occurrence (0.3 + 0.7 + 0.3) rounds differently

@@ -588,6 +588,14 @@ class TestCheckpoint:
             with pytest.raises(MiningError, match="not format useqmine-checkpoint/2"):
                 load_state(str(path), sample_weights)
 
+    def test_byte_order_mark_dropped(self, sample_db, sample_weights, delta1, tmp_path):
+        state = init_mining(sample_db, sample_weights, PARAMS)
+        uwsincplus_step(state, delta1)
+        path = tmp_path / "ck.txt"
+        save_state(state, str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert state_fingerprint(load_state(str(path), sample_weights)) == state_fingerprint(state)
+
     def test_bad_files_rejected(self, sample_weights, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("")
@@ -760,9 +768,9 @@ def test_baseline_equivalence(sample_db, sample_weights, delta1):
 
 
 class IncrementalMachine(RuleBasedStateMachine):
-    """Interleaves both step kinds, refused deltas and checkpoint round trips
-    on one ``IncrementalState``, checking after every rule what must hold
-    whatever ran before."""
+    """Interleaves both step kinds, refused deltas, checkpoint round trips and
+    checkpoints refused under other weights on one ``IncrementalState``,
+    checking after every rule what must hold whatever ran before."""
 
     @initialize(
         init=databases(),
@@ -819,6 +827,21 @@ class IncrementalMachine(RuleBasedStateMachine):
                 assert fh.read() == saved
         assert (loaded.db_size, loaded.params) == (self.state.db_size, self.state.params)
         self.state = loaded
+
+    @rule(item=st.sampled_from(DB_ITEMS), factor=st.sampled_from([0.5, 0.9]))
+    def other_weights_refused(self, item, factor):
+        other = WeightTable({**self.weights.entries, item: self.weights.weight(item) * factor})
+        before = state_fingerprint(self.state)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ck")
+            save_state(self.state, path)
+            with open(path, "rb") as fh:
+                saved = fh.read()
+            with pytest.raises(MiningError, match="different weight table"):
+                load_state(path, other)
+            with open(path, "rb") as fh:
+                assert fh.read() == saved
+        assert state_fingerprint(self.state) == before
 
     @invariant()
     def database_counts(self):

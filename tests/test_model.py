@@ -332,6 +332,17 @@ def test_constructor_and_reader_agree(tmp_path_factory, events):
     assert built == read
 
 
+def test_constructed_sequence_shares_its_positions(tmp_path):
+    # Items at the same events hold one positions tuple, and the sequence
+    # equals the one the reader builds from its line.
+    seq = USequence([[("b", 0.5), ("a", 0.25)], [("c", 1.0)], [("a", 0.5), ("b", 0.75)]])
+    assert seq.index["a"][0] == (0, 2)
+    assert seq.index["a"][0] is seq.index["b"][0]
+    path = tmp_path / "one.txt"
+    path.write_text("a:0.25 b:0.5 -1 c:1.0 -1 a:0.5 b:0.75 -1 -2\n")
+    assert parse_uncertain_db(str(path)).sequences == (seq,)
+
+
 class TestMalformedFromCode:
     """Input built in code, not read from a file, is refused with a ``MiningError`` too."""
 
