@@ -132,11 +132,11 @@ def cmd_inc(args: argparse.Namespace) -> int:
 
     weights = dataio.parse_weights(args.weights)
     deltas = [dataio.parse_uncertain_db(p) for p in args.delta]
-    os.makedirs(args.out_dir, exist_ok=True)
     rows: list[dict] = []
 
     def record(step: int, delta_path: str, delta_size: int, db_size: int, wam: float,
                min_wes: float, fs: list[ScoredPattern], ms: float) -> None:
+        os.makedirs(args.out_dir, exist_ok=True)  # at the first write: a refused run leaves none
         dataio.write_patterns(os.path.join(args.out_dir, f"step_{step}.tsv"), fs, "tsv")
         completeness = ""
         if args.baseline_dir:

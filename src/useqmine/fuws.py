@@ -68,9 +68,10 @@ An embedding of a descendant contains one of the pattern, which ends at or
 after that anchor, and every item the descendant adds comes after that end,
 so its mean item weight is at most c_s. A frame bounds a slot by ``sum of
 b_s * c_s * p_s`` over its entries, p_s being ``determine``'s slot value
-(``determine`` is handed each entry's b_s * c_s): the extension's row values
-are the pattern's, each at most b_s, times the item's probabilities, each at
-most p_s, and a descendant's are smaller still. A slot this pretest passes
+(``determine`` is handed each entry's b_s * c_s; under ``cap`` and ``top`` it
+is handed none, and each entry weighs 1.0): the extension's row values are
+the pattern's, each at most b_s, times the item's probabilities, each at most
+p_s, and a descendant's are smaller still. A slot this pretest passes
 gets its rows, and es, the sum of their maxima, is the extension's expected
 support; its wes comes out bit for bit as the scan's, so an exact mine
 verifies nothing and rules nothing out. Each row's first event, the earliest
@@ -123,7 +124,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .model import (
@@ -308,52 +309,28 @@ def determine(
 
     Given ``bests``, an exact frame's best value per entry, ``prob_sum``
     sums each value times its entry's best instead (the module docstring's
-    row-weighted bound). That loop is a copy, so static mines pay no product.
+    row-weighted bound). Without ``bests`` (the ``cap`` and ``top`` bounds)
+    each entry weighs 1.0, and as ``1.0 * p == p`` the sums are the plain
+    ones, bit for bit.
     """
     s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
     open_item = proj.open_item
-    if bests is not None:
-        for entry, b in zip(proj.entries, bests):
-            si, ei = entry
-            for it, (ks, ps) in pdb[si].index.items():
-                last = ks[-1]
-                if last <= ei and (last < ei or it <= open_item):
-                    break
-                if alive is not None and it not in alive:
-                    continue
-                if last > ei:
-                    j = bisect_right(ks, ei)
-                    p = ps[j]
-                    slot = s_acc[it]
-                    slot[0] += b * p
-                    slot[2].append(entry)
-                    if p > slot[1]:
-                        slot[1] = p
-                    if j and ks[j - 1] == ei:
-                        p = ps[j - 1]
-                else:
-                    p = ps[-1]
-                if open_item is not None and it > open_item:
-                    slot = i_acc[it]
-                    slot[0] += b * p
-                    slot[2].append(entry)
-                    if p > slot[1]:
-                        slot[1] = p
-        return {"I": i_acc, "S": s_acc}
-    for entry in proj.entries:
+    filtered = alive is not None
+    has_open = open_item is not None
+    for entry, b in zip(proj.entries, repeat(1.0) if bests is None else bests):
         si, ei = entry
         for it, (ks, ps) in pdb[si].index.items():
             last = ks[-1]
             if last <= ei and (last < ei or it <= open_item):
                 break  # not left after the anchor, and neither is any later item
-            if alive is not None and it not in alive:
+            if filtered and it not in alive:
                 continue
             if last > ei:
                 j = bisect_right(ks, ei)
                 p = ps[j]
                 slot = s_acc[it]
-                slot[0] += p
+                slot[0] += b * p
                 slot[2].append(entry)
                 if p > slot[1]:
                     slot[1] = p
@@ -361,9 +338,9 @@ def determine(
                     p = ps[j - 1]
             else:
                 p = ps[-1]  # the item last occurs in the anchor event
-            if open_item is not None and it > open_item:
+            if has_open and it > open_item:
                 slot = i_acc[it]
-                slot[0] += p
+                slot[0] += b * p
                 slot[2].append(entry)
                 if p > slot[1]:
                     slot[1] = p

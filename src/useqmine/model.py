@@ -63,6 +63,9 @@ def check_item_token(token: str) -> str:
     # Parentheses delimit a pattern's itemsets when it is written out.
     if ":" in token or "(" in token or ")" in token or token.split() != [token]:
         raise MiningError(f"item token {token!r} must not contain ':', '(', ')' or whitespace")
+    # Written first in a file, it would read back as a byte-order mark, dropped.
+    if token[0] == "\ufeff":
+        raise MiningError(f"item token {token!r} must not start with U+FEFF")
     # A lone surrogate cannot be written to a UTF-8 file.
     if not token.isascii():
         try:

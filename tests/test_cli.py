@@ -123,6 +123,16 @@ class TestMine:
         assert (proc.stdout, proc.returncode) == (printed, code)
         assert code == (0 if db == "db.txt" else 1)
 
+    def test_module_help(self):
+        # The README's entry point without the installed script.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "useqmine.cli", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: useqmine ")
+        assert proc.stderr == ""
+
     def test_deterministic_output(self, files, tmp_path):
         outs = []
         for name in ("a.tsv", "b.tsv"):
@@ -190,6 +200,16 @@ class TestInc:
         mine1 = {sp.pattern for sp in read_patterns_tsv(os.path.join(out_dir, "step_1.tsv"))}
         want = len(mine1 & base1) / len(base1)
         assert float(rows[1]["completeness"]) == pytest.approx(want, abs=1e-6)
+
+    def test_completeness_of_missing_and_empty_baseline_steps(self, files, tmp_path):
+        base_dir = self.run_inc(files, tmp_path, "baseline", "base")
+        os.remove(os.path.join(base_dir, "step_1.tsv"))
+        open(os.path.join(base_dir, "step_2.tsv"), "w").close()
+        out_dir = self.run_inc(files, tmp_path, "uwsinc", "inc", ["--baseline-dir", base_dir])
+        rows = read_csv(os.path.join(out_dir, "report.csv"))
+        # Step 0 matches its baseline; a missing step file leaves the column
+        # empty, and an empty one has nothing to miss.
+        assert [r["completeness"] for r in rows] == ["1.000000", "", "1.000000"]
 
     @pytest.mark.parametrize("row", ["(a:b)\t1.0", "(-1)(x y)\t0.5"])
     def test_baseline_with_bad_item_token_refused(self, files, tmp_path, capsys, row):
@@ -339,6 +359,41 @@ class TestInc:
         assert "--checkpoint does not apply" in capsys.readouterr().err
         assert not ck.exists() and not out.exists()
 
+    @pytest.mark.parametrize("case", ["empty init", "not a checkpoint", "other flags"])
+    def test_refused_run_leaves_no_out_dir(self, files, tmp_path, capsys, case):
+        ck = tmp_path / "state.ck"
+        flags = ["--delta", files["d2"], "--weights", files["w"], "--algo", "uwsinc+",
+                 "--mu", "0.7", "--wgt-fct", "1.0"]
+        if case == "empty init":
+            empty = tmp_path / "empty.txt"
+            empty.write_text("")
+            source, code, message = ["--init", str(empty)], 1, "initial database is empty"
+        elif case == "not a checkpoint":
+            ck.write_text(DB_TEXT)
+            source, code, message = ["--checkpoint", str(ck)], 1, "is not format"
+        else:
+            assert main(["inc", "--init", files["db"], *flags, "--min-sup", "0.2",
+                         "--out-dir", str(tmp_path / "run1"), "--checkpoint", str(ck)]) == 0
+            source, code = ["--checkpoint", str(ck)], 2
+            message = "checkpoint parameters differ from the flags; refusing to resume"
+        before = ck.read_bytes() if ck.exists() else None
+        capsys.readouterr()
+        out = tmp_path / "out"
+        min_sup = "0.3" if case == "other flags" else "0.2"
+        assert main(["inc", *source, *flags, "--min-sup", min_sup, "--out-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+        assert (ck.read_bytes() if ck.exists() else None) == before
+
+    def test_baseline_without_init_refused(self, files, tmp_path, capsys):
+        out = tmp_path / "base"
+        assert main(["inc", "--delta", files["d1"], "--weights", files["w"],
+                     "--algo", "baseline", "--min-sup", "0.2", "--mu", "0.7",
+                     "--wgt-fct", "1.0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --algo baseline needs --init\n"
+        assert not out.exists()
+
     def test_missing_init_without_checkpoint(self, files, tmp_path):
         assert main(["inc", "--delta", files["d1"], "--weights", files["w"],
                      "--algo", "uwsinc", "--min-sup", "0.2", "--mu", "0.7",
@@ -419,6 +474,17 @@ class TestBench:
         assert main(["bench", "--db", files["db"], "--weights", files["w"],
                      "--min-sup-list", "0.2,oops", "--out",
                      str(tmp_path / "b.csv")]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--min-sup-list", ","], "--min-sup-list is empty"),
+        (["--min-sup-list", "0.2", "--repeat", "0"], "--repeat must be >= 1: 0"),
+    ])
+    def test_refused_with_exit_2_and_no_csv(self, files, tmp_path, capsys, flags, message):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--db", files["db"], "--weights", files["w"], *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestNumberFlags:

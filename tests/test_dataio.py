@@ -88,6 +88,9 @@ class TestParseDb:
             ("a:0.5 -2 b:0.2 -1 -2", "-2 before end"),
             ("-1:0.5 -1 -2", "invalid item token '-1'"),
             ("x)(y:0.5 -1 -2", "item token 'x)(y' must not contain"),
+            # Written first in a file, this token would read back as a
+            # byte-order mark and "a".
+            ("\ufeffa:0.5 -1 -2", "item token '\\ufeffa' must not start with U+FEFF"),
             # A line with several errors: the grammar's comes first, then
             # event by event. "-2" alone and "a:0.5 -1 -1 -2" are above.
             ("a:x -1 b:0.5 -2", "not closed"),
@@ -205,6 +208,7 @@ class TestParseWeights:
             ("b nan", "weight out of (0, 1]: nan"),
             ("x)(y z", "item token 'x)(y' must not contain ':', '(', ')' or whitespace"),
             ("-1 0.5", "invalid item token '-1'"),
+            ("\ufeffb 0.5", "item token '\\ufeffb' must not start with U+FEFF"),
             ("b x", "bad weight 'x'"),
             ("a 0.7", "duplicate weight for 'a'"),
         ],

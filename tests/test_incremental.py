@@ -27,8 +27,11 @@ from useqmine import (
     WeightTable,
     uwsinc_step,
     uwsincplus_step,
+    write_uncertain_db,
+    write_weights,
 )
-from useqmine import incremental
+from useqmine import cli, incremental
+from useqmine.dataio import pattern_lines
 from useqmine.fuws import mine_trie
 from useqmine.model import s_weight
 from useqmine.oracle import _max_pr_enum
@@ -768,9 +771,10 @@ def test_baseline_equivalence(sample_db, sample_weights, delta1):
 
 
 class IncrementalMachine(RuleBasedStateMachine):
-    """Interleaves both step kinds, refused deltas, checkpoint round trips and
-    checkpoints refused under other weights on one ``IncrementalState``,
-    checking after every rule what must hold whatever ran before."""
+    """Interleaves both step kinds, in-process and through the CLI, refused
+    deltas, checkpoint round trips and checkpoints refused under other weights
+    on one ``IncrementalState``, checking after every rule what must hold
+    whatever ran before."""
 
     @initialize(
         init=databases(),
@@ -842,6 +846,31 @@ class IncrementalMachine(RuleBasedStateMachine):
             with open(path, "rb") as fh:
                 assert fh.read() == saved
         assert state_fingerprint(self.state) == before
+
+    @rule(delta=databases(), algo=st.sampled_from(["uwsinc", "uwsinc+"]))
+    def cli_step(self, delta, algo):
+        # ``inc --checkpoint`` resumes the saved state and takes the step the
+        # model takes in-process: the same checkpoint bytes and step file.
+        p = self.state.params
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, w, d, out, want = (os.path.join(tmp, n) for n in ("ck", "w", "d", "out", "want"))
+            save_state(self.state, ck)
+            write_weights(w, self.weights)
+            write_uncertain_db(d, delta)
+            assert cli.main([
+                "inc", "--delta", d, "--weights", w, "--algo", algo,
+                "--min-sup", repr(p.min_sup), "--mu", repr(p.mu), "--wgt-fct", repr(p.wgt_fct),
+                "--lwes-factor", repr(p.lwes_factor), "--out-dir", out, "--checkpoint", ck,
+            ]) == 0
+            step = uwsincplus_step if algo == "uwsinc+" else uwsinc_step
+            self.reported = step(self.state, delta)
+            save_state(self.state, want)
+            with open(ck, "rb") as got, open(want, "rb") as fh:
+                assert got.read() == fh.read()
+            with open(os.path.join(out, "step_1.tsv"), encoding="utf-8") as fh:
+                assert fh.read() == "".join(pattern_lines(self.reported))
+        self.db = UncertainDatabase.concat([self.db, delta])
+        self.plus_ran |= algo == "uwsinc+"
 
     @invariant()
     def database_counts(self):

@@ -414,12 +414,27 @@ def test_exact_mine_stores_the_dense_recurrence_bit_for_bit(db, min_sup):
 )
 def test_unit_row_maxima_give_determines_slots(data, db, alive):
     # With every entry's best value 1.0 the exact frames' slot pass is
-    # ``determine``'s own, slot for slot.
+    # ``determine``'s own, slot for slot. With drawn values only each slot's
+    # sum changes: to the entry-order sum of each value times the entry's own
+    # slot value, read over a one-entry projection.
     pdb, _ = preprocess(db, WEIGHTS)
     proj = root_projection(pdb)
     for _ in range(5):
         want = fuws.determine(pdb, proj, alive)
         assert fuws.determine(pdb, proj, alive, [1.0] * len(proj.entries)) == want
+        bests = data.draw(st.lists(st.sampled_from([1.0, 0.875, 0.5, 0.3, 1 / 3]),
+                                   min_size=len(proj.entries), max_size=len(proj.entries)))
+        best = dict(zip(proj.entries, bests))  # one entry per sequence
+        got = fuws.determine(pdb, proj, alive, bests)
+        assert {k: list(acc) for k, acc in got.items()} == {k: list(acc) for k, acc in want.items()}
+        for kind, acc in got.items():
+            for item, (prob_sum, prob_max, entries) in acc.items():
+                assert [prob_max, entries] == want[kind][item][1:]
+                total = 0.0
+                for e in entries:
+                    one = fuws.determine(pdb, ProjectedDB((e,), proj.open_item), alive)
+                    total += best[e] * one[kind][item][0]
+                assert prob_sum == total
         cands = slots(pdb, proj, alive)
         if not cands:
             break
