@@ -121,7 +121,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
@@ -246,26 +245,26 @@ def preprocess(
 
 
 def _index_sequence(seq: USequence, weight: dict[ItemId, float], shared: dict) -> PSequence:
-    items = sorted(seq.index.items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
-    index = {  # an item occurring once, or whose probabilities already fall, keeps its stored pair
-        item: occ
-        if len(occ[0]) == 1 or (sm := tuple(accumulate(reversed(occ[1]), max))[::-1]) == occ[1]
-        else (occ[0], sm)
-        for item, occ in items
-    }
-    # An item is left in a suffix when its (last, item) is after the anchor's
-    # (event, open_item), so only one heavier than every item after it can
-    # be the heaviest one left. The frontier keeps those.
+    """``seq``'s index run by (last position, item), latest first: sorted as
+    (last, item, pair) triples, which never tie, and read once for the index
+    and the frontier. An item occurring once, or whose probabilities already
+    fall, keeps its stored pair. An item is left in a suffix when its (last,
+    item) is after the anchor's (event, open_item), so only one heavier than
+    every item after it can be the heaviest one left: the frontier keeps
+    those. ``shared`` holds each equal frontier entry and frontier once, as
+    the first object seen, so no copy outlives the call."""
+    index = {}
     frontier = []
-    for item, (ks, _) in items:
+    for last, item, occ in sorted([(occ[0][-1], item, occ) for item, occ in seq.index.items()],
+                                  reverse=True):
+        if len(occ[0]) > 1 and (sm := tuple(accumulate(reversed(occ[1]), max))[::-1]) != occ[1]:
+            occ = (occ[0], sm)
+        index[item] = occ
         w = weight[item]
         if not frontier or w > frontier[-1][0]:
-            frontier.append((w, ks[-1], item))
-    frontier = tuple(frontier[::-1])
-    stored = shared.get(frontier)
-    if stored is None:
-        stored = shared[frontier] = tuple([shared.setdefault(entry, entry) for entry in frontier])
-    return PSequence(index, stored)
+            frontier.append((w, last, item))
+    frontier = tuple([shared.setdefault(entry, entry) for entry in reversed(frontier)])
+    return PSequence(index, shared.setdefault(frontier, frontier))
 
 
 def prune_index(pdb: PreprocessedDB, keep: set[ItemId]) -> None:
@@ -292,13 +291,17 @@ def determine(
 
     Each entry's index is read once, with one bisect per item, and only up
     to the first item not left after the anchor, one whose (last position,
-    item) is not after the anchor's (event, ``open_item``). An S-slot takes
-    the item's suffix max at its first event after the anchor. An I-slot,
-    only for items after ``open_item``, takes the suffix max at the anchor
-    event when the item is there, and the S value otherwise. Every item of
-    the index left in the remaining suffixes gets a slot, or, given
+    item) is not after the anchor's (event, ``open_item``); given ``alive``,
+    only its items are read, and any other costs one set test. An S-slot
+    takes the item's suffix max at its first event after the anchor. An
+    I-slot, only for items after ``open_item``, takes the suffix max at the
+    anchor event when the item is there, and the S value otherwise. Every
+    item of the index left in the remaining suffixes gets a slot, or, given
     ``alive``, every such item in ``alive``. ``prob_sum`` sums those values
-    over the projection and ``prob_max`` is their largest.
+    over the projection and ``prob_max`` is their largest. A slot is made at
+    its item's first entry, from that entry's values, and an I-slot only
+    below an open item; an item not after ``open_item`` reads nothing more
+    once its S-slot is updated.
 
     ``entries`` are the entries a slot was read from, in projection order.
     Those are exactly the entries ``project`` can keep for that extension:
@@ -313,33 +316,44 @@ def determine(
     each entry weighs 1.0, and as ``1.0 * p == p`` the sums are the plain
     ones, bit for bit.
     """
-    s_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
-    i_acc: defaultdict[ItemId, list] = defaultdict(lambda: [0.0, 0.0, []])
+    s_acc: dict[ItemId, list] = {}
+    i_acc: dict[ItemId, list] = {}
     open_item = proj.open_item
     filtered = alive is not None
     has_open = open_item is not None
     for entry, b in zip(proj.entries, repeat(1.0) if bests is None else bests):
         si, ei = entry
-        for it, (ks, ps) in pdb[si].index.items():
+        index = pdb[si].index
+        for it in index:
+            if filtered and it not in alive:
+                continue
+            occ = index[it]
+            ks = occ[0]
             last = ks[-1]
             if last <= ei and (last < ei or it <= open_item):
                 break  # not left after the anchor, and neither is any later item
-            if filtered and it not in alive:
-                continue
+            ps = occ[1]
             if last > ei:
                 j = bisect_right(ks, ei)
                 p = ps[j]
-                slot = s_acc[it]
-                slot[0] += b * p
-                slot[2].append(entry)
-                if p > slot[1]:
-                    slot[1] = p
+                slot = s_acc.get(it)
+                if slot is None:  # 0.0 + x == x: the first sum is the product itself
+                    s_acc[it] = [b * p, p, [entry]]
+                else:
+                    slot[0] += b * p
+                    slot[2].append(entry)
+                    if p > slot[1]:
+                        slot[1] = p
+                if not has_open or it <= open_item:
+                    continue  # no I-slot
                 if j and ks[j - 1] == ei:
                     p = ps[j - 1]
             else:
-                p = ps[-1]  # the item last occurs in the anchor event
-            if has_open and it > open_item:
-                slot = i_acc[it]
+                p = ps[-1]  # the item last occurs in the anchor event, after open_item
+            slot = i_acc.get(it)
+            if slot is None:
+                i_acc[it] = [b * p, p, [entry]]
+            else:
                 slot[0] += b * p
                 slot[2].append(entry)
                 if p > slot[1]:

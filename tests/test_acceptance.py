@@ -453,25 +453,25 @@ def test_criterion_9_supcalc_scaling():
         pool.extend(nxt)
         level = nxt
 
-    sizes, times = [], []
-    it = iter(pool)
-    trie = USeqTrie()
-    nodes = trie.node_count
-    for target in (400, 800, 1600, 3200):
+    # The four tries are built first and timed round-robin, best of 3 each,
+    # so a slow phase of the host falls on every size alike, not on the
+    # sizes timed during it.
+    sizes = [400, 800, 1600, 3200]
+    tries = []
+    for target in sizes:
+        trie = USeqTrie()
         # The pool is level-wise, so each pattern extends one already stored
         # and its insert adds exactly one node.
-        while nodes < target:
-            trie.insert(next(it), 0.0)
-            nodes += 1
-        assert trie.node_count == nodes
-        best = None
-        for _ in range(3):
+        for pat in pool[: target - trie.node_count]:
+            trie.insert(pat, 0.0)
+        assert trie.node_count == target
+        tries.append(trie)
+    times = [math.inf] * len(tries)
+    for _ in range(3):
+        for k, trie in enumerate(tries):
             t0 = time.perf_counter()
             sup_calc(trie, db, wt)
-            dt = time.perf_counter() - t0
-            best = dt if best is None or dt < best else best
-        sizes.append(nodes)
-        times.append(best)
+            times[k] = min(times[k], time.perf_counter() - t0)
 
     xs = [math.log(s) for s in sizes]
     ys = [math.log(t) for t in times]

@@ -27,6 +27,11 @@ def files(tmp_path):
     return paths
 
 
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -139,7 +144,7 @@ class TestMine:
             out = str(tmp_path / name)
             main(["mine", "--db", files["db"], "--weights", files["w"],
                   "--min-sup", "0.2", "--wgt-fct", "1.0", "--mu", "0.7", "--out", out])
-            outs.append(open(out).read())
+            outs.append(read_text(out))
         assert outs[0] == outs[1]
 
 
@@ -224,7 +229,7 @@ class TestInc:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "item token" in err
-        lines = open(os.path.join(base_dir, "step_1.tsv")).read().count("\n")
+        lines = read_text(os.path.join(base_dir, "step_1.tsv")).count("\n")
         assert f"step_1.tsv:{lines}:" in err
 
     def test_checkpoint_resume(self, files, tmp_path):
@@ -254,12 +259,12 @@ class TestInc:
                  "--wgt-fct", "1.0", "--checkpoint", ck]
         assert main(["inc", "--init", files["db"], "--delta", files["d1"],
                      "--algo", "uwsinc+", "--out-dir", str(tmp_path / "run1")] + flags) == 0
-        assert open(ck).read().split("[pfs-trie]\n")[1] != ""
+        assert read_text(ck).split("[pfs-trie]\n")[1] != ""
         out = str(tmp_path / "run2")
         assert main(["inc", "--delta", files["d2"], "--algo", "uwsinc",
                      "--out-dir", out] + flags) == 0
-        assert open(ck).read().endswith("[pfs-trie]\n")
-        assert open(os.path.join(out, "step_1.tsv")).read() == (
+        assert read_text(ck).endswith("[pfs-trie]\n")
+        assert read_text(os.path.join(out, "step_1.tsv")) == (
             "(a)\t6.160000\n(a)(a)\t2.264000\n(c)\t5.760000\n"
             "(c)(a)\t2.822000\n(d)\t2.880000\n(f)\t2.610000\n"
         )
@@ -340,13 +345,13 @@ class TestInc:
                  "--mu", "0.7", "--wgt-fct", "1.0", "--checkpoint", ck]
         assert main(["inc", "--init", files["db"], "--delta", files["d1"], *flags,
                      "--out-dir", str(tmp_path / "run1")]) == 0
-        before = open(ck).read()
+        before = read_text(ck)
         capsys.readouterr()
         out2 = tmp_path / "run2"
         assert main(["inc", "--init", files["db"], "--delta", files["d2"], *flags,
                      "--out-dir", str(out2)]) == 2
         assert "drop --init" in capsys.readouterr().err
-        assert open(ck).read() == before
+        assert read_text(ck) == before
         assert not out2.exists()
 
     def test_baseline_with_checkpoint_refused(self, files, tmp_path, capsys):
@@ -410,7 +415,7 @@ class TestGen:
             w_out = str(tmp_path / f"{tag}.w")
             assert main(["gen", "--in", str(src), "--seed", "7",
                          "--out-db", db_out, "--out-weights", w_out]) == 0
-            outs.append((open(db_out).read(), open(w_out).read()))
+            outs.append((read_text(db_out), read_text(w_out)))
         assert outs[0] == outs[1]
 
     def test_zero_std_rejected(self, files, tmp_path):
@@ -443,7 +448,7 @@ class TestOracleCmd:
         out = str(tmp_path / "o.tsv")
         assert main(["oracle", "--db", files["db"], "--weights", files["w"],
                      "--min-sup", "1.0", "--wgt-fct", "1.0", "--out", out]) == 0
-        assert open(out).read() == ""
+        assert read_text(out) == ""
 
 
 class TestBench:

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +101,58 @@ class TestPreprocess:
         acc.add(db, wt)
         assert acc.wam != (0.3 + 0.7 + 0.3) / 3
         assert preprocess(db, wt)[1].wam == acc.wam
+
+
+def reference_index_sequence(seq, weight, shared):
+    """``fuws._index_sequence`` as it was before it sorted (last, item, pair)
+    triples: a key-function sort, a second walk for the frontier, and a
+    table keyed by each first-seen frontier."""
+    items = sorted(seq.index.items(), key=lambda kv: (kv[1][0][-1], kv[0]), reverse=True)
+    index = {
+        item: occ
+        if len(occ[0]) == 1 or (sm := tuple(accumulate(reversed(occ[1]), max))[::-1]) == occ[1]
+        else (occ[0], sm)
+        for item, occ in items
+    }
+    frontier = []
+    for item, (ks, _) in items:
+        w = weight[item]
+        if not frontier or w > frontier[-1][0]:
+            frontier.append((w, ks[-1], item))
+    frontier = tuple(frontier[::-1])
+    stored = shared.get(frontier)
+    if stored is None:
+        stored = shared[frontier] = tuple([shared.setdefault(entry, entry) for entry in frontier])
+    return FUWS.PSequence(index, stored)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db=databases() | databases(last_min_size=2),
+    weights=st.lists(st.sampled_from([0.3, 0.5, 0.8, 1.0]), min_size=5, max_size=5),
+)
+def test_index_matches_the_reference(db, weights):
+    # Each sequence gets the reference's key order, pairs and frontier, and
+    # keeps its stored pair exactly where the reference does. Equal frontier
+    # entries and frontiers are one object within a call, and a second call
+    # shares none of them.
+    wt = WeightTable(dict(zip(DB_ITEMS, weights)))
+    shared = {}
+    want = [reference_index_sequence(seq, wt.entries, shared) for seq in db.sequences]
+    pdb, _ = preprocess(db, wt)
+    for seq, ref, got in zip(db.sequences, want, pdb):
+        assert list(got.index.items()) == list(ref.index.items())
+        assert [pair is seq.index[it] for it, pair in got.index.items()] == [
+            pair is seq.index[it] for it, pair in ref.index.items()
+        ]
+        assert got.frontier == ref.frontier
+    stored = {}
+    for got in pdb:
+        for obj in (got.frontier, *got.frontier):
+            assert stored.setdefault(obj, obj) is obj
+    firsts = {id(obj) for obj in stored.values()}
+    for got in preprocess(db, wt)[0]:
+        assert not {id(got.frontier), *map(id, got.frontier)} & firsts
 
 
 def max_weight(cands, weights):
