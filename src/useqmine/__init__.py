@@ -28,7 +28,6 @@ from .fuws import (
     PreprocessedDB,
     ProjectedDB,
     determine,
-    fuws,
     mine_trie,
     preprocess,
     project,

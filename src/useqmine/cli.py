@@ -113,15 +113,18 @@ def _read_baseline_sets(baseline_dir: str, step: int) -> set | None:
 
 
 def cmd_inc(args: argparse.Namespace) -> int:
-    params = _from_flags(
-        MiningParams,
-        min_sup=args.min_sup, wgt_fct=args.wgt_fct, mu=args.mu, lwes_factor=args.lwes_factor,
-    )
+    buffer = {k: v for k, v in [("mu", args.mu), ("lwes_factor", args.lwes_factor)] if v is not None}
     if args.algo == "baseline":
         if args.checkpoint:
             raise UsageError("--algo baseline keeps no state; --checkpoint does not apply")
+        if buffer:
+            flags = " ".join("--" + k.replace("_", "-") for k in buffer)
+            raise UsageError(f"--algo baseline keeps no buffer; drop {flags}")
         if not args.init:
             raise UsageError("--algo baseline needs --init")
+    elif "mu" not in buffer:
+        raise UsageError(f"--algo {args.algo} needs --mu")
+    params = _from_flags(MiningParams, min_sup=args.min_sup, wgt_fct=args.wgt_fct, **buffer)
     resume = args.checkpoint and os.path.exists(args.checkpoint)
     if resume and args.init:
         raise UsageError(
@@ -284,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--weights", required=True)
     p_inc.add_argument("--algo", choices=["uwsinc", "uwsinc+", "baseline"], required=True)
     p_inc.add_argument("--min-sup", type=float, required=True)
-    p_inc.add_argument("--mu", type=float, required=True)
+    p_inc.add_argument("--mu", type=float, help="required by uwsinc and uwsinc+")
     p_inc.add_argument("--wgt-fct", type=float, required=True)
-    p_inc.add_argument("--lwes-factor", type=float, default=2.0)
+    p_inc.add_argument("--lwes-factor", type=float, help="uwsinc and uwsinc+ only (default 2.0)")
     p_inc.add_argument("--out-dir", default=".")
     p_inc.add_argument("--checkpoint")
     p_inc.add_argument("--baseline-dir", help="out-dir of a prior baseline run; fills completeness")

@@ -133,7 +133,6 @@ from .model import (
     MiningError,
     MissingWeightError,
     Pattern,
-    ScoredPattern,
     Thresholds,
     UncertainDatabase,
     USequence,
@@ -674,12 +673,4 @@ def _extend_rows(
         anchors.append((si, first))
         bests.append(best)
     return bound, es, wes, anchors, child_rows, bests
-
-
-def fuws(
-    db: UncertainDatabase, weights: WeightTable, min_sup: float, wgt_fct: float
-) -> list[ScoredPattern]:
-    """Mine the weighted frequent set at the given effective support fraction."""
-    trie, stats = mine_trie(db, weights, min_sup, wgt_fct)
-    return trie.collect(stats.min_wes)
 

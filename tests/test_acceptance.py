@@ -18,7 +18,6 @@ from useqmine import (
     UncertainDatabase,
     USeqTrie,
     WeightTable,
-    fuws,
     init_mining,
     mine_trie,
     oracle_exp_sup,
@@ -291,9 +290,8 @@ def stream_results():
         parts = [init_db]
         for delta in deltas:
             parts.append(delta)
-            baselines.append(
-                {sp.pattern for sp in fuws(UncertainDatabase.concat(parts), wt, min_sup, 1.0)}
-            )
+            trie, stats = mine_trie(UncertainDatabase.concat(parts), wt, min_sup, 1.0)
+            baselines.append({sp.pattern for sp in trie.collect(stats.min_wes)})
 
         for mu in (0.7, 1.0):
             params = MiningParams(min_sup=min_sup, wgt_fct=1.0, mu=mu)

@@ -158,10 +158,9 @@ class TestInc:
             "--weights", files["w"],
             "--algo", algo,
             "--min-sup", "0.2",
-            "--mu", "0.7",
             "--wgt-fct", "1.0",
             "--out-dir", out_dir,
-        ] + (extra or [])
+        ] + ([] if algo == "baseline" else ["--mu", "0.7"]) + (extra or [])
         assert main(argv) == 0
         return out_dir
 
@@ -187,13 +186,14 @@ class TestInc:
         assert step2 == {P("(a)"), P("(a)(a)"), P("(c)")}
 
     def test_baseline_definition(self, files, tmp_path):
-        from useqmine import UncertainDatabase, fuws, parse_uncertain_db, parse_weights
+        from useqmine import UncertainDatabase, mine_trie, parse_uncertain_db, parse_weights
 
         out_dir = self.run_inc(files, tmp_path, "baseline", "base")
         db = parse_uncertain_db(files["db"])
         d1 = parse_uncertain_db(files["d1"])
         wt = parse_weights(files["w"])
-        want = {sp.pattern for sp in fuws(UncertainDatabase.concat([db, d1]), wt, 0.2, 1.0)}
+        trie, stats = mine_trie(UncertainDatabase.concat([db, d1]), wt, 0.2, 1.0)
+        want = {sp.pattern for sp in trie.collect(stats.min_wes)}
         got = {sp.pattern for sp in read_patterns_tsv(os.path.join(out_dir, "step_1.tsv"))}
         assert got == want
 
@@ -359,8 +359,7 @@ class TestInc:
         out = tmp_path / "base"
         assert main(["inc", "--init", files["db"], "--delta", files["d1"],
                      "--weights", files["w"], "--algo", "baseline", "--min-sup", "0.2",
-                     "--mu", "0.7", "--wgt-fct", "1.0", "--out-dir", str(out),
-                     "--checkpoint", str(ck)]) == 2
+                     "--wgt-fct", "1.0", "--out-dir", str(out), "--checkpoint", str(ck)]) == 2
         assert "--checkpoint does not apply" in capsys.readouterr().err
         assert not ck.exists() and not out.exists()
 
@@ -394,9 +393,28 @@ class TestInc:
     def test_baseline_without_init_refused(self, files, tmp_path, capsys):
         out = tmp_path / "base"
         assert main(["inc", "--delta", files["d1"], "--weights", files["w"],
-                     "--algo", "baseline", "--min-sup", "0.2", "--mu", "0.7",
+                     "--algo", "baseline", "--min-sup", "0.2",
                      "--wgt-fct", "1.0", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == "error: --algo baseline needs --init\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "0.7"), ("--lwes-factor", "9")])
+    def test_baseline_with_buffer_flag_refused(self, files, tmp_path, capsys, flag, value):
+        # The baseline reruns the static miner, which keeps no buffer to size.
+        out = tmp_path / "base"
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"],
+                     "--weights", files["w"], "--algo", "baseline", "--min-sup", "0.2",
+                     "--wgt-fct", "1.0", "--out-dir", str(out), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: --algo baseline keeps no buffer; drop {flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["uwsinc", "uwsinc+"])
+    def test_incremental_algo_without_mu_refused(self, files, tmp_path, capsys, algo):
+        out = tmp_path / "inc"
+        assert main(["inc", "--init", files["db"], "--delta", files["d1"],
+                     "--weights", files["w"], "--algo", algo, "--min-sup", "0.2",
+                     "--wgt-fct", "1.0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --algo {algo} needs --mu\n"
         assert not out.exists()
 
     def test_missing_init_without_checkpoint(self, files, tmp_path):

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from itertools import accumulate
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import useqmine.fuws as fuws
 from useqmine import (
     EPS,
     BoundRecord,
@@ -18,7 +18,6 @@ from useqmine import (
     WamAccumulator,
     WeightTable,
     extend,
-    fuws,
     max_pr_dynamic,
     meets,
     mine_trie,
@@ -43,9 +42,6 @@ from conftest import (
     random_weights,
     slots,
 )
-
-# The package's ``fuws`` attribute is the function, so go through importlib.
-FUWS = importlib.import_module("useqmine.fuws")
 
 
 class TestPreprocess:
@@ -123,7 +119,7 @@ def reference_index_sequence(seq, weight, shared):
     stored = shared.get(frontier)
     if stored is None:
         stored = shared[frontier] = tuple([shared.setdefault(entry, entry) for entry in frontier])
-    return FUWS.PSequence(index, stored)
+    return fuws.PSequence(index, stored)
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,7 +486,7 @@ def test_scan_gets_only_live_subtrees(sample_db, sample_weights, monkeypatch):
         scanned.append(trie.snapshot().splitlines())
         sup_calc(trie, db, weights)
 
-    monkeypatch.setattr(FUWS, "sup_calc", scan)
+    monkeypatch.setattr(fuws, "sup_calc", scan)
     trie, stats = mine_trie(sample_db, sample_weights, 0.14, 1.0, bound="top")
     assert stats.ruled_out > 0
     assert stats.false_positives >= stats.ruled_out
@@ -576,7 +572,8 @@ def test_nodes_bound_only_what_their_parent_generated(bound):
 
 class TestFuws:
     def test_golden_result_set(self, sample_db, sample_weights):
-        got = patterns_by_key(fuws(sample_db, sample_weights, 0.2 * 0.7, 1.0))
+        trie, stats = mine_trie(sample_db, sample_weights, 0.2 * 0.7, 1.0)
+        got = patterns_by_key(trie.collect(stats.min_wes))
         want = {
             P("(a)"): 2.24,
             P("(b)"): 1.4,
@@ -589,7 +586,8 @@ class TestFuws:
             assert got[pat] == pytest.approx(wes, abs=0.01)
 
     def test_huge_threshold_gives_nothing(self, sample_db, sample_weights):
-        assert fuws(sample_db, sample_weights, 1.0, 1.0) == []
+        trie, stats = mine_trie(sample_db, sample_weights, 1.0, 1.0)
+        assert trie.collect(stats.min_wes) == []
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(1234)
@@ -607,17 +605,34 @@ class TestFuws:
     def test_untraced_growth_builds_no_pattern(self, sample_db, sample_weights, monkeypatch):
         # Growth adds each candidate under its parent's trie node, so without
         # a trace list it neither builds a Pattern nor walks from the root.
-        want = patterns_by_key(fuws(sample_db, sample_weights, 0.2 * 0.7, 1.0))
+        trie, stats = mine_trie(sample_db, sample_weights, 0.2 * 0.7, 1.0)
+        want = patterns_by_key(trie.collect(stats.min_wes))
 
         def refuse(*args, **kwargs):
             raise AssertionError("called by untraced growth")
 
-        monkeypatch.setattr(FUWS, "extend", refuse)
-        monkeypatch.setattr(FUWS, "single", refuse)
+        monkeypatch.setattr(fuws, "extend", refuse)
+        monkeypatch.setattr(fuws, "single", refuse)
         monkeypatch.setattr(USeqTrie, "insert", refuse)
         trie, stats = mine_trie(sample_db, sample_weights, 0.2 * 0.7, 1.0)
         assert stats.candidates > len(want) > 0
         assert patterns_by_key(trie.collect(stats.min_wes)) == want
+
+    def test_growth_projects_through_the_module_attribute(
+        self, sample_db, sample_weights, monkeypatch
+    ):
+        # ``useqmine.fuws`` names the module, so a patch by its dotted name
+        # reaches the ``project`` growth calls: once per candidate below the root.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr("useqmine.fuws.project", counted)
+        trie, stats = mine_trie(sample_db, sample_weights, 0.14, 1.0)
+        assert len(calls) == stats.candidates > 0
+        assert trie.collect(stats.min_wes)
 
     def test_no_pattern_below_threshold_survives(self, sample_db, sample_weights):
         trie, stats = mine_trie(sample_db, sample_weights, 0.14, 1.0)

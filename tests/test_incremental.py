@@ -16,7 +16,6 @@ from useqmine import (
     UncertainDatabase,
     USequence,
     WamAccumulator,
-    fuws,
     init_mining,
     load_state,
     meets,
@@ -762,7 +761,8 @@ def test_checkpoint_reader_reads_or_refuses_any_bytes(saved_checkpoint, data):
 def test_baseline_equivalence(sample_db, sample_weights, delta1):
     # A from-scratch rerun on the concatenation is the completeness yardstick.
     whole = UncertainDatabase.concat([sample_db, delta1])
-    base = patterns_by_key(fuws(whole, sample_weights, 0.2, 1.0))
+    trie, stats = mine_trie(whole, sample_weights, 0.2, 1.0)
+    base = patterns_by_key(trie.collect(stats.min_wes))
     state = init_mining(sample_db, sample_weights, PARAMS)
     fs = patterns_by_key(uwsincplus_step(state, delta1))
     assert set(fs) <= set(base)

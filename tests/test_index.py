@@ -1,13 +1,13 @@
 """Property tests for the per-sequence item index behind ``determine``, ``project``
 and ``sup_calc``."""
 
-import importlib
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import useqmine.fuws as fuws
 from useqmine import (
     MiningError,
     MissingWeightError,
@@ -30,8 +30,6 @@ from useqmine.fuws import prune_index
 from useqmine.model import EPS
 
 from conftest import DB_ITEMS, databases, itemsets, random_db, random_weights, slots
-
-fuws = importlib.import_module("useqmine.fuws")  # the package's ``fuws`` is the function
 
 TRIE_ITEMS = "cdefg"  # overlaps DB_ITEMS only in c, d, e
 WEIGHTS = WeightTable({"a": 0.8, "b": 1.0, "c": 0.9, "d": 0.6, "e": 0.7, "f": 0.9, "g": 0.5})

@@ -5,12 +5,11 @@ these tests make both fail here too. They read ``perfbench/`` and change
 nothing in it; the rest of ``perfbench``'s own tests assert wall-time bounds
 and are not part of this suite."""
 
-import importlib
 import os
 
 import pytest
 
-from useqmine import MiningParams
+from useqmine import MiningParams, dataio, fuws, incremental
 
 from conftest import DB_TEXT, DELTA1_TEXT, DELTA2_TEXT, WEIGHTS_TEXT
 
@@ -25,11 +24,6 @@ def layers(monkeypatch):
     return layers
 
 
-def package(name):
-    # The package's ``fuws`` attribute is the function, so go through importlib.
-    return importlib.import_module(f"useqmine.{name}")
-
-
 def span_name(owner, attr: str) -> str:
     """The name ``spans.Tracer.hook`` gives the span of a hooked attribute."""
     if isinstance(owner, type):
@@ -38,7 +32,6 @@ def span_name(owner, attr: str) -> str:
 
 
 def test_every_benchmark_hook_finds_its_target(layers):
-    fuws = package("fuws")
     plain = fuws.mine_trie
     with layers.traced() as tracer:
         assert tracer.absent == []
@@ -49,7 +42,6 @@ def test_every_benchmark_hook_finds_its_target(layers):
 def test_every_benchmark_hook_records_a_span(layers, tmp_path):
     """Every call goes through a module attribute, as the benchmark's passes
     do, so each hook sees it and its counters read the real arguments."""
-    dataio, fuws, incremental = package("dataio"), package("fuws"), package("incremental")
     for name, text in [("db", DB_TEXT), ("d1", DELTA1_TEXT), ("d2", DELTA2_TEXT),
                        ("w", WEIGHTS_TEXT)]:
         (tmp_path / f"{name}.txt").write_text(text)
